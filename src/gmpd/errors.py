@@ -90,3 +90,7 @@ class ParseError(GmpdError):
 
 class UnknownGenerator(GmpdError):
     pass
+
+
+class CertificateError(GmpdError):
+    """A computed result failed its own correctness certificate."""

@@ -4,121 +4,183 @@ The completion of the instance gives an assignment problem whose {0,1}
 costs charge 1 per same-partite step and 0 per arc; missing cross-partite
 pairs are forbidden.  A minimum-cost successor permutation decodes to a
 factor with the maximum number of arcs: arcs = n - cost.
+
+One shortest-augmenting-path solve gives the optimum together with optimal
+duals u and v.  The optimal assignments are exactly the perfect matchings
+of the tight pairs (c - u - v = 0), so the lexicographically smallest one
+is read off that subgraph with no further solve.  Each result carries an
+explicit certificate: a permutation of tight pairs under feasible duals
+whose total is the solve's optimum; otherwise CertificateError is raised.
 """
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .digraph import PartitionedDigraph
-from .errors import Degenerate, NoFactor
+from .errors import CertificateError, Degenerate, NoFactor
 from .walks import GFactor, GWalk, canonical_cycle, validate_factor
 
 INF = 10 ** 9
 _INF_CUT = 10 ** 8
+_SCANNED = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class AssignmentInstance:
-    """Square cost grid; INF marks forbidden pairs (diagonal always INF)."""
+class Assignment(NamedTuple):
+    total: int
+    succ: List[int]      # succ[i] = column of row i
+    u: np.ndarray        # row duals
+    v: np.ndarray        # column duals
 
-    size: int
-    cost: Tuple[Tuple[int, ...], ...]
 
+def solve_assignment(cost: List[List[int]]) -> Optional[Assignment]:
+    """Exact min-cost perfect assignment with optimal duals.
 
-def solve_assignment(cost: List[List[int]]) -> Optional[Tuple[int, List[int]]]:
-    """Exact min-cost perfect assignment (shortest augmenting paths).
-
-    Returns (total, successor) with successor[i] = column of row i, or None
-    when no feasible assignment exists.  0-based indices.
+    Costs are nonnegative; entries >= 10**8 are forbidden.  A greedy
+    matching on cost-0 pairs with zero duals starts it (feasible, since no
+    cost is negative).  Each row left unmatched then runs one shortest
+    augmenting path (Dijkstra on reduced costs, columns scanned with numpy)
+    and the duals are updated so that c - u - v stays >= 0 everywhere and 0
+    on matched pairs.  Returns None when no feasible assignment exists.
+    0-based indices.
     """
-    n = len(cost)
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)          # p[j] = row matched to column j (1-based, 0 = none)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+    c = np.asarray(cost, dtype=np.int64)
+    if (c < 0).any():
+        raise ValueError("assignment costs must be nonnegative")
+    n = len(c)
+    u = np.zeros(n, dtype=np.int64)
+    v = np.zeros(n, dtype=np.int64)
+    owner = np.full(n, -1, dtype=np.int64)   # owner[j] = row matched to column j
+    succ = [-1] * n
+    for i in range(n):
+        free = np.flatnonzero((c[i] == 0) & (owner < 0))
+        if free.size:
+            succ[i] = int(free[0])
+            owner[free[0]] = i
+    for root in range(n):
+        if succ[root] >= 0:
+            continue
+        dist = c[root] - u[root] - v       # shortest reduced length to each column
+        pred = np.full(n, root)            # row the shortest path enters column j from
+        final = np.zeros(n, dtype=np.int64)
+        done = np.zeros(n, dtype=bool)
+        scanned = []
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            if delta >= _INF_CUT:
+            j = int(dist.argmin())
+            mu = int(dist[j])
+            if mu >= _INF_CUT:
                 return None
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            final[j] = mu
+            dist[j] = _SCANNED
+            done[j] = True
+            i = int(owner[j])
+            if i < 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    succ = [0] * n
-    total = 0
-    for j in range(1, n + 1):
-        succ[p[j] - 1] = j - 1
-        total += cost[p[j] - 1][j - 1]
+            scanned.append(j)
+            step = mu + c[i] - u[i] - v
+            better = (step < dist) & ~done
+            dist[better] = step[better]
+            pred[better] = i
+        cols = np.array(scanned, dtype=np.int64)
+        u[owner[cols]] += mu - final[cols]
+        v[cols] += final[cols] - mu
+        u[root] += mu
+        while True:
+            i = int(pred[j])
+            owner[j] = i
+            succ[i], j = j, succ[i]
+            if i == root:
+                break
+    total = int(c[np.arange(n), succ].sum())
     if total >= _INF_CUT:
         return None
-    return total, succ
+    return Assignment(total, succ, u, v)
+
+
+def _bitmasks(rows: np.ndarray) -> List[int]:
+    """Each row of a boolean matrix as a Python int, bit j = column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 def lexmin_assignment(cost: List[List[int]]) -> Optional[Tuple[int, List[int]]]:
     """Optimal assignment whose successor map is lexicographically smallest.
 
-    Fixes rows in ascending order to the smallest column that keeps the total
-    optimal; each candidate is certified by re-solving the residual problem.
+    One solve gives the optimum and its duals.  Rows are then fixed in
+    order.  For row i, a reverse alternating search from its current column
+    through the later rows' tight pairs finds every column that row i can
+    take while the rest stays a tight perfect matching; row i takes the
+    smallest tight one and the matching is re-routed along the search's
+    parents.
     """
-    base = solve_assignment(cost)
-    if base is None:
+    solved = solve_assignment(cost)
+    if solved is None:
         return None
-    total, _ = base
-    n = len(cost)
-    fixed_cols: List[Optional[int]] = [None] * n
-    used = [False] * n
-    spent = 0
+    total, succ, u, v = solved
+    c = np.asarray(cost, dtype=np.int64)
+    n = len(c)
+    reduced = c - u[:, None] - v[None, :]
+    tight = (reduced == 0) & (c < _INF_CUT)
+    row_tight = _bitmasks(tight)      # columns tight with each row
+    col_tight = _bitmasks(tight.T)    # rows tight with each column
+    succ = list(succ)
+    owner = [0] * n
+    for r, j in enumerate(succ):
+        owner[j] = r
+    fixed = 0
     for i in range(n):
-        free_rows = [r for r in range(i + 1, n)]
-        for j in range(n):
-            if used[j] or cost[i][j] >= _INF_CUT:
-                continue
-            free_cols = [c for c in range(n) if not used[c] and c != j]
-            sub = [[cost[r][c] for c in free_cols] for r in free_rows]
-            if sub:
-                res = solve_assignment(sub)
-                if res is None:
-                    continue
-                rest = res[0]
-            else:
-                rest = 0
-            if spent + cost[i][j] + rest == total:
-                fixed_cols[i] = j
-                used[j] = True
-                spent += cost[i][j]
-                break
-        if fixed_cols[i] is None:
-            raise AssertionError("lexicographic fixing lost feasibility")
-    assert spent == total
-    return total, [c for c in fixed_cols]  # type: ignore[misc]
+        cand = row_tight[i] & ~fixed
+        best = cand & -cand
+        j0 = succ[i]
+        if best != 1 << j0:
+            later = -(2 << i)             # rows after i
+            parent = {}                   # row -> column it can move to
+            seen = 0
+            reach = 1 << j0
+            queue = [j0]
+            for col in queue:
+                new = col_tight[col] & later & ~seen
+                seen |= new
+                while new:
+                    b = new & -new
+                    new ^= b
+                    r = b.bit_length() - 1
+                    parent[r] = col
+                    reach |= 1 << succ[r]
+                    queue.append(succ[r])
+                if reach & best:
+                    break
+            hit = reach & cand
+            if not hit:
+                raise CertificateError("lexicographic fixing lost feasibility")
+            j = (hit & -hit).bit_length() - 1
+            if j != j0:
+                r = owner[j]
+                succ[i], owner[j] = j, i
+                while True:
+                    col = parent[r]
+                    nxt = owner[col]
+                    succ[r], owner[col] = col, r
+                    if col == j0:
+                        break
+                    r = nxt
+        fixed |= 1 << succ[i]
+    _certify(c, reduced, succ, total)
+    return total, succ
+
+
+def _certify(c: np.ndarray, reduced: np.ndarray, succ: List[int], total: int):
+    """A permutation of tight pairs under feasible duals, totalling the optimum."""
+    n = len(succ)
+    if sorted(succ) != list(range(n)):
+        raise CertificateError("the assignment is not a permutation")
+    if (reduced[c < _INF_CUT] < 0).any():
+        raise CertificateError("the duals are infeasible")
+    rows = np.arange(n)
+    if (reduced[rows, succ] != 0).any():
+        raise CertificateError("a chosen pair is not tight")
+    if int(c[rows, succ].sum()) != total:
+        raise CertificateError("the total differs from the solve's optimum")
 
 
 def _succ_cycles(succ: List[int]) -> List[List[int]]:
@@ -137,7 +199,9 @@ def _succ_cycles(succ: List[int]) -> List[List[int]]:
     return cycles
 
 
-def completion_costs(d: PartitionedDigraph) -> AssignmentInstance:
+def completion_costs(d: PartitionedDigraph) -> List[List[int]]:
+    """Square cost grid of the completion; INF marks forbidden pairs (the
+    diagonal always)."""
     n = d.n
     grid = []
     for u in range(1, n + 1):
@@ -151,8 +215,8 @@ def completion_costs(d: PartitionedDigraph) -> AssignmentInstance:
                 row.append(1)
             else:
                 row.append(INF)
-        grid.append(tuple(row))
-    return AssignmentInstance(size=n, cost=tuple(grid))
+        grid.append(row)
+    return grid
 
 
 def max_arc_gcycle_factor(d: PartitionedDigraph) -> GFactor:
@@ -160,8 +224,7 @@ def max_arc_gcycle_factor(d: PartitionedDigraph) -> GFactor:
     d.require_smd()
     if d.n < 2:
         raise Degenerate("a cycle factor needs at least two vertices")
-    inst = completion_costs(d)
-    solved = lexmin_assignment([list(r) for r in inst.cost])
+    solved = lexmin_assignment(completion_costs(d))
     if solved is None:
         raise NoFactor("no spanning set of generalized cycles exists")
     _, succ = solved
@@ -190,8 +253,7 @@ def max_arc_path_cycle_subdigraph(d: PartitionedDigraph) -> Tuple[GWalk, GFactor
     if d.n == 1:
         return GWalk("path", (1,)), GFactor(())
     n = d.n
-    base = completion_costs(d)
-    grid = [list(r) + [0] for r in base.cost]
+    grid = [row + [0] for row in completion_costs(d)]
     grid.append([0] * n + [INF])
     solved = lexmin_assignment(grid)
     if solved is None:
@@ -206,10 +268,11 @@ def max_arc_path_cycle_subdigraph(d: PartitionedDigraph) -> Tuple[GWalk, GFactor
             path_seq = tuple(v + 1 for v in opened)
         else:
             cycles.append(canonical_cycle(GWalk("cycle", tuple(v + 1 for v in cyc))))
-    assert path_seq, "dummy vertex always lies on some successor cycle"
+    if not path_seq:
+        raise CertificateError("the dummy vertex has no successor cycle")
     cycles.sort(key=lambda c: c.seq[0])
     path = GWalk("path", path_seq)
     remainder = GFactor(tuple(cycles))
-    covered = set(path.seq) | remainder.vertex_set()
-    assert covered == set(d.vertices())
+    if set(path.seq) | remainder.vertex_set() != set(d.vertices()):
+        raise CertificateError("the path and cycles do not cover every vertex")
     return path, remainder

@@ -8,11 +8,11 @@ GMPD_EXACT_THRESHOLD environment variable, then the per-engine default.
 """
 
 import os
-from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -364,57 +364,117 @@ def spanning_gcycle_at_least(
 # -- jump metrics ----------------------------------------------------------
 
 
+class JumpDistances(Mapping):
+    """Read-only {(x, y): N(x, y)} view over an n×n jump-count matrix.
+
+    -1 marks a pair with no generalized path.  Iteration is x-major and
+    skips x == y and the unreachable pairs; the view compares equal to the
+    dict with the same items.
+    """
+
+    def __init__(self, dist: np.ndarray):
+        self._dist = dist
+
+    def __getitem__(self, key) -> int:
+        try:
+            x, y = key
+            if x != y and x >= 1 and y >= 1:
+                hops = int(self._dist[x - 1, y - 1])
+                if hops >= 0:
+                    return hops
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        for x, y in zip(*np.nonzero(self._dist >= 0)):
+            if x != y:
+                yield int(x) + 1, int(y) + 1
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._dist >= 0)) - len(self._dist)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 @dataclass
 class JumpMetrics:
-    n_xy: Dict[Tuple[int, int], int]
+    n_xy: JumpDistances
     unreachable: Tuple[Tuple[int, int], ...]
     N: int
     c_f: Optional[int]
     bound: Optional[int]
 
 
-def _zero_one_bfs(d: PartitionedDigraph, source: int):
-    """Shortest jump-count distances from source; arcs cost 0, jumps cost 1."""
-    dist = {source: 0}
-    dq = deque([source])
-    part = d.part_vector
-    while dq:
-        u = dq.popleft()
-        du = dist[u]
-        for v in sorted(d.out(u)):
-            if dist.get(v, _BIG) > du:
-                dist[v] = du
-                dq.appendleft(v)
-        for v in d.vertices():
-            if v != u and part[v - 1] == part[u - 1] and dist.get(v, _BIG) > du + 1:
-                dist[v] = du + 1
-                dq.append(v)
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _jump_matrix(d: PartitionedDigraph) -> np.ndarray:
+    """dist[x, y] = fewest jumps on a generalized (x, y)-path, -1 if none.
+
+    Arcs cost 0 and same-partite jumps cost 1.  From each source a layered
+    bitmask BFS takes the arc closure, then one jump into every partite set
+    already reached, then the arc closure again; layer k holds the vertices
+    first reached with k jumps.
+    """
+    n = d.n
+    out, _ = _adjacency_masks(d)
+    closure = []
+    for v in range(n):
+        seen = frontier = 1 << v
+        while frontier:
+            step = 0
+            for w in _bits(frontier):
+                step |= out[w]
+            frontier = step & ~seen
+            seen |= frontier
+        closure.append(seen)
+    parts = [0] * d.c
+    for v, p in enumerate(d.part_vector):
+        parts[p - 1] |= 1 << v
+    # every layer but the last reaches a new partite set, so no count exceeds
+    # c; the smallest signed type that holds c keeps the matrix compact
+    dist = np.full((n, n), -1, dtype=np.min_scalar_type(-d.c - 1))
+    for x in range(n):
+        row = [-1] * n
+        seen = layer = closure[x]
+        hops = 0
+        while layer:
+            for v in _bits(layer):
+                row[v] = hops
+            jumped = 0
+            for members in parts:
+                if members & seen:
+                    jumped |= members
+            layer = 0
+            for v in _bits(jumped & ~seen):
+                layer |= closure[v]
+            layer &= ~seen
+            seen |= layer
+            hops += 1
+        dist[x] = row
     return dist
 
 
 def jump_metrics(d: PartitionedDigraph) -> JumpMetrics:
     """N(x,y) per ordered pair, the maximum N, and the min{n-N, c_f} bound."""
     d.require_smd()
-    n_xy: Dict[Tuple[int, int], int] = {}
-    unreachable = []
-    for x in d.vertices():
-        dist = _zero_one_bfs(d, x)
-        for y in d.vertices():
-            if x == y:
-                continue
-            if y in dist:
-                n_xy[(x, y)] = dist[y]
-            else:
-                unreachable.append((x, y))
-    big_n = max(n_xy.values(), default=0)
+    dist = _jump_matrix(d)
+    unreachable = tuple((int(x) + 1, int(y) + 1) for x, y in zip(*np.nonzero(dist < 0)))
+    big_n = int(dist.max())
     try:
         cf = factor_mod.c_f(d)
     except NoFactor:
         cf = None
     bound = min(d.n - big_n, cf) if cf is not None else None
     return JumpMetrics(
-        n_xy=n_xy,
-        unreachable=tuple(unreachable),
+        n_xy=JumpDistances(dist),
+        unreachable=unreachable,
         N=big_n,
         c_f=cf,
         bound=bound,

@@ -1,15 +1,29 @@
-"""Shared helpers: naive reference oracles and instance builders.
+"""Shared helpers: naive reference oracles, instance builders and the
+hypothesis settings profile.
 
-The brute-force routines here enumerate permutations and subsets directly;
-they exist to validate the packaged engines and must stay independent of
-them."""
+The brute-force routines here enumerate permutations and subsets directly,
+and the re-solve lex-min and the 0-1 BFS are the plain algorithms the
+packaged engines replaced; they exist to validate the packaged engines and
+must stay independent of them."""
 
+from collections import deque
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
+from hypothesis import settings
+from scipy.optimize import linear_sum_assignment
 
 from gmpd.digraph import PartitionedDigraph
 from gmpd.generators import random_extended, random_smd
+
+# every property test replays the same examples, with a bounded count, so the
+# suite stays deterministic and its run time fixed
+settings.register_profile("gmpd", derandomize=True, database=None, max_examples=20,
+                          deadline=None)
+settings.load_profile("gmpd")
+
+FORBIDDEN = 10 ** 8   # assignment costs at or above this mark forbidden pairs
 
 
 def step_ok(d, u, v):
@@ -78,6 +92,64 @@ def brute_min_assignment(cost):
             best = total
             best_map = list(perm)
     return (best, best_map) if best is not None else None
+
+
+def scipy_min_assignment(cost):
+    """Min-cost perfect assignment total by scipy, or None if infeasible."""
+    if not len(cost):
+        return 0
+    grid = np.asarray(cost, dtype=np.float64)
+    rows, cols = linear_sum_assignment(grid)
+    total = int(grid[rows, cols].sum())
+    return total if total < FORBIDDEN else None
+
+
+def reference_lexmin_assignment(cost):
+    """Lexicographically smallest optimal assignment by re-solving.
+
+    Fixes rows in ascending order to the smallest column that keeps the total
+    optimal; each candidate is certified by solving the residual problem.
+    """
+    total = scipy_min_assignment(cost)
+    if total is None:
+        return None
+    n = len(cost)
+    fixed_cols = [None] * n
+    used = [False] * n
+    spent = 0
+    for i in range(n):
+        free_rows = list(range(i + 1, n))
+        for j in range(n):
+            if used[j] or cost[i][j] >= FORBIDDEN:
+                continue
+            free_cols = [c for c in range(n) if not used[c] and c != j]
+            rest = scipy_min_assignment([[cost[r][c] for c in free_cols] for r in free_rows])
+            if rest is not None and spent + cost[i][j] + rest == total:
+                fixed_cols[i] = j
+                used[j] = True
+                spent += cost[i][j]
+                break
+        assert fixed_cols[i] is not None, "lexicographic fixing lost feasibility"
+    return total, fixed_cols
+
+
+def reference_jump_distances(d, source):
+    """Shortest jump counts from source by a 0-1 BFS: arcs cost 0, jumps 1."""
+    dist = {source: 0}
+    dq = deque([source])
+    part = d.part_vector
+    while dq:
+        u = dq.popleft()
+        du = dist[u]
+        for v in sorted(d.out(u)):
+            if dist.get(v, FORBIDDEN) > du:
+                dist[v] = du
+                dq.appendleft(v)
+        for v in d.vertices():
+            if v != u and part[v - 1] == part[u - 1] and dist.get(v, FORBIDDEN) > du + 1:
+                dist[v] = du + 1
+                dq.append(v)
+    return dist
 
 
 def fig1_digraph():

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gmpd import factor
+from gmpd.cli import main
 from gmpd.digraph import PartitionedDigraph
-from gmpd.errors import Degenerate
+from gmpd.errors import CertificateError, Degenerate, NoFactor
 from gmpd.factor import (
     INF,
     c_f,
@@ -11,13 +14,31 @@ from gmpd.factor import (
     max_arc_path_cycle_subdigraph,
     solve_assignment,
 )
-from gmpd.generators import fig2, noclose
+from gmpd.fileformat import emit_instance
+from gmpd.generators import fig1 as fig1_instance, fig2, noclose
 from gmpd.walks import walk_length
 
 from conftest import (
     brute_longest_gpath,
     brute_min_assignment,
     random_smd_digraph,
+    reference_lexmin_assignment,
+    scipy_min_assignment,
+)
+
+
+def path_grid(grid):
+    """The completion plus a dummy vertex joined both ways at cost 0."""
+    n = len(grid)
+    return [row + [0] for row in grid] + [[0] * n + [INF]]
+
+
+smd = st.builds(
+    random_smd_digraph,
+    n=st.integers(8, 40),
+    c=st.integers(2, 4),
+    density=st.sampled_from([0.1, 0.3, 0.5]),
+    seed=st.integers(0, 10 ** 6),
 )
 
 
@@ -94,8 +115,7 @@ def test_factor_cycles_have_two_or_more_vertices():
 def test_c_f_equals_n_minus_mincost():
     for seed in range(40):
         d = random_smd_digraph(5 + seed % 4, 2 + seed % 3, 0.4, seed + 10)
-        inst = completion_costs(d)
-        solved = solve_assignment([list(r) for r in inst.cost])
+        solved = solve_assignment(completion_costs(d))
         if solved is None:
             continue
         assert c_f(d) == d.n - solved[0]
@@ -123,3 +143,46 @@ def test_path_cycle_total_matches_brute_force():
         p, rem = max_arc_path_cycle_subdigraph(d)
         total = walk_length(d, p) + rem.arc_count(d)
         assert total == brute_longest_gpath(d)
+
+
+@given(smd)
+def test_lexmin_matches_resolve_reference(d):
+    grid = completion_costs(d)
+    for g in (grid, path_grid(grid)):
+        assert lexmin_assignment(g) == reference_lexmin_assignment(g)
+
+
+@settings(max_examples=12)
+@given(st.integers(2, 200), st.integers(2, 4), st.integers(0, 10 ** 6))
+def test_factor_totals_match_scipy(n, c, seed):
+    d = random_smd_digraph(n, c, 0.3, seed)
+    grid = completion_costs(d)
+    cycle_cost = scipy_min_assignment(grid)
+    if cycle_cost is None:
+        with pytest.raises(NoFactor):
+            max_arc_gcycle_factor(d)
+    else:
+        assert max_arc_gcycle_factor(d).arc_count(d) == n - cycle_cost
+    p, rem = max_arc_path_cycle_subdigraph(d)
+    assert walk_length(d, p) + rem.arc_count(d) == n - 1 - scipy_min_assignment(path_grid(grid))
+
+
+def test_corrupt_duals_raise_certificate_error(monkeypatch, tmp_path):
+    real = factor.solve_assignment
+
+    def shifted_duals(cost):
+        total, succ, u, v = real(cost)
+        return factor.Assignment(total, succ, u + 1, v)
+
+    monkeypatch.setattr(factor, "solve_assignment", shifted_duals)
+    inst = fig1_instance()
+    with pytest.raises(CertificateError):
+        max_arc_gcycle_factor(inst.digraph)
+    path = tmp_path / "fig1.gmpd"
+    path.write_text(emit_instance(inst))
+    assert main(["factor", str(path)]) == 2
+
+
+def test_negative_costs_are_rejected():
+    with pytest.raises(ValueError):
+        solve_assignment([[INF, -1], [0, INF]])

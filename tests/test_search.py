@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from gmpd.digraph import PartitionedDigraph, augment_terminals, is_k_strong, is_strong
 from gmpd.errors import TooLarge
@@ -17,6 +18,7 @@ from conftest import (
     brute_longest_gpath,
     brute_longest_spanning_gcycle,
     random_smd_digraph,
+    reference_jump_distances,
 )
 
 
@@ -207,3 +209,44 @@ def test_fig2_has_hamiltonian_path():
 
     d = fig2().digraph
     assert oracle_longest_gpath(d, threshold=16)[0] == 15
+
+
+def dominating_union(a, b):
+    """a and b side by side on disjoint partite sets, every arc from a to b:
+    a non-strong SMD in which no vertex of b reaches a at all."""
+    part = list(a.part_vector) + [p + a.c for p in b.part_vector]
+    arcs = set(a.arcs) | {(u + a.n, v + a.n) for u, v in b.arcs}
+    arcs |= {(u, v + a.n) for u in a.vertices() for v in b.vertices()}
+    return PartitionedDigraph(part, arcs)
+
+
+smd = st.builds(
+    random_smd_digraph,
+    n=st.integers(2, 20),
+    c=st.integers(1, 5),
+    density=st.sampled_from([0.0, 0.1, 0.3]),
+    seed=st.integers(0, 10 ** 6),
+)
+
+
+@given(smd, st.one_of(st.none(), smd))
+def test_jump_metrics_match_zero_one_bfs(a, b):
+    d = a if b is None else dominating_union(a, b)
+    want, unreachable = {}, []
+    for x in d.vertices():
+        dist = reference_jump_distances(d, x)
+        for y in d.vertices():
+            if x == y:
+                continue
+            if y in dist:
+                want[(x, y)] = dist[y]
+            else:
+                unreachable.append((x, y))
+    jm = jump_metrics(d)
+    assert jm.n_xy == want and want == jm.n_xy
+    assert list(jm.n_xy.items()) == list(want.items())
+    assert len(jm.n_xy) == len(want)
+    assert jm.unreachable == tuple(unreachable)
+    assert b is None or len(unreachable) >= a.n * b.n
+    assert jm.N == max(want.values(), default=0)
+    assert jm.bound == (None if jm.c_f is None else min(d.n - jm.N, jm.c_f))
