@@ -12,6 +12,16 @@ from typing import Iterable, Optional
 from .errors import AugmentedInput, NotSemicomplete
 
 
+def _vertices_of(mask: int) -> tuple:
+    """Vertex ids (bit v-1 for vertex v) of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
 class PartitionedDigraph:
     """A digraph whose vertices carry partite indices.
 
@@ -20,7 +30,7 @@ class PartitionedDigraph:
     digraph is reported by :func:`validate`, not enforced here.
     """
 
-    __slots__ = ("n", "c", "_part", "arcs", "augmented", "_out", "_in", "_smd_cache")
+    __slots__ = ("n", "c", "_part", "arcs", "augmented", "out_masks", "in_masks", "_smd_cache")
 
     def __init__(self, part: Iterable[int], arcs: Iterable[tuple], augmented: bool = False):
         part = tuple(part)
@@ -31,21 +41,25 @@ class PartitionedDigraph:
         if min(part) < 1 or set(part) != set(range(1, self.c + 1)):
             raise ValueError("partite indices must cover 1..c with every index used")
         self._part = part
-        arcset = frozenset((int(u), int(v)) for u, v in arcs)
-        for u, v in arcset:
+        # a frozenset of plain int pairs is immutable and is kept, not copied
+        if not isinstance(arcs, frozenset) or any(
+            type(u) is not int or type(v) is not int for u, v in arcs
+        ):
+            arcs = frozenset((int(u), int(v)) for u, v in arcs)
+        out = [0] * self.n
+        inn = [0] * self.n
+        for u, v in arcs:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"arc ({u},{v}) out of range")
-        self.arcs = arcset
+            out[u - 1] |= 1 << (v - 1)
+            inn[v - 1] |= 1 << (u - 1)
+        self.arcs = arcs
         self.augmented = augmented
-        out = {v: set() for v in range(1, self.n + 1)}
-        inn = {v: set() for v in range(1, self.n + 1)}
-        for u, v in arcset:
-            out[u].add(v)
-            inn[v].add(u)
-        self._out = {v: frozenset(s) for v, s in out.items()}
-        self._in = {v: frozenset(s) for v, s in inn.items()}
+        # bit w-1 of out_masks[v-1] (in_masks[v-1]) is set for an arc (v,w) ((w,v))
+        self.out_masks = tuple(out)
+        self.in_masks = tuple(inn)
         self._smd_cache = None
 
     # -- basic accessors -------------------------------------------------
@@ -69,11 +83,13 @@ class PartitionedDigraph:
             sets[self._part[v - 1] - 1].add(v)
         return [frozenset(s) for s in sets]
 
-    def out(self, v: int) -> frozenset:
-        return self._out[v]
+    def out(self, v: int) -> tuple:
+        """Out-neighbours of v in ascending order."""
+        return _vertices_of(self.out_masks[v - 1])
 
-    def inn(self, v: int) -> frozenset:
-        return self._in[v]
+    def inn(self, v: int) -> tuple:
+        """In-neighbours of v in ascending order."""
+        return _vertices_of(self.in_masks[v - 1])
 
     def is_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
@@ -210,8 +226,24 @@ def strong_components(d: PartitionedDigraph) -> list:
     return components
 
 
+def _closure(masks, start: int) -> int:
+    """Bitmask of the vertices reachable from bit `start` along `masks`."""
+    seen = frontier = 1 << start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
 def is_strong(d: PartitionedDigraph) -> bool:
-    return len(strong_components(d)) == 1
+    """Every vertex reaches vertex 1 and is reached from it."""
+    full = (1 << d.n) - 1
+    return _closure(d.out_masks, 0) == full and _closure(d.in_masks, 0) == full
 
 
 def is_k_strong(d: PartitionedDigraph, k: int) -> bool:

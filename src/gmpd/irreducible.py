@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .digraph import PartitionedDigraph, is_strong, validate
-from .errors import NotBipartite, NotStrong, PreconditionUnmet
+from .errors import CertificateError, NotBipartite, NotStrong, PreconditionUnmet
 from .factor import max_arc_gcycle_factor
 from .merging import certified_merge_cycles, certified_multi_merge
 from .walks import (
@@ -82,8 +82,8 @@ def merge_pair_no_loss(
     target = walk_length(d, c1) + walk_length(d, c2)
     merged = certified_merge_cycles(d, c1, c2, target)
     rel = relation(d, c1, c2)
-    if rel in (MERGEABLE, FEASIBLE):
-        assert merged is not None, "feasible or unrelated pairs always merge"
+    if merged is None and rel in (MERGEABLE, FEASIBLE):
+        raise CertificateError(f"a {rel} pair found no no-loss merge")
     return merged
 
 
@@ -157,9 +157,11 @@ def make_irreducible(d: PartitionedDigraph, f: GFactor) -> IrreducibleFactor:
         if triangle is None:
             order = sorted(range(k), key=lambda i: (-sum(beats[i]), cycles[i].seq[0]))
             ordered = [cycles[i] for i in order]
-            assert verify_chain_certificate(d, ordered)
+            if not verify_chain_certificate(d, ordered):
+                raise CertificateError("merged cycles do not form a one-way dominance chain")
             arc_count = sum(walk_length(d, c) for c in ordered)
-            assert arc_count >= base_arcs
+            if arc_count < base_arcs:
+                raise CertificateError(f"merging lost arcs: {arc_count} < {base_arcs}")
             out = IrreducibleFactor(tuple(ordered), arc_count)
             validate_factor(d, out.as_factor())
             return out
@@ -167,7 +169,8 @@ def make_irreducible(d: PartitionedDigraph, f: GFactor) -> IrreducibleFactor:
         group = [cycles[x] for x in (i, j, l)]
         floor = sum(walk_length(d, c) for c in group)
         merged_cycle = certified_multi_merge(d, group, floor)
-        assert merged_cycle is not None, "dominance triangles always collapse"
+        if merged_cycle is None:
+            raise CertificateError(f"dominance triangle {triangle} did not collapse")
         cycles = [c for x, c in enumerate(cycles) if x not in (i, j, l)]
         cycles.append(merged_cycle)
         cycles.sort(key=lambda c: c.seq[0])
@@ -261,7 +264,8 @@ def spanning_gcycle_strong(
         from .extended import spanning_gcycle_extsd
 
         cyc = spanning_gcycle_extsd(d)
-        assert cyc is not None
+        if cyc is None:
+            raise CertificateError("a strong extended instance has no spanning cycle")
         cert = {
             "c_f": cf,
             "c_prime": cprime,
@@ -279,7 +283,8 @@ def spanning_gcycle_strong(
             if head_parts & {d.part(v) for v in cycles[idx].seq}:
                 j = idx
                 break
-        assert j is not None, "strongness forces a shared partite set with the head"
+        if j is None:
+            raise CertificateError("no cycle shares a partite set with the chain head")
         group = cycles[: j + 1]
         floor = sum(walk_length(d, c) for c in group) - per_group_loss
         merged = None
@@ -287,7 +292,8 @@ def spanning_gcycle_strong(
             merged = certified_merge_cycles(d, group[0], group[1], floor)
         if merged is None:
             merged = certified_multi_merge(d, group, floor)
-        assert merged is not None, "group merge within the loss budget must exist"
+        if merged is None:
+            raise CertificateError(f"no group merge within the loss budget of {per_group_loss}")
         rest = cycles[j + 1:]
         refolded = make_irreducible(
             d, GFactor(tuple([merged] + rest))
@@ -298,9 +304,12 @@ def spanning_gcycle_strong(
     length = walk_length(d, result)
     if length < lower:
         rescue = certified_multi_merge(d, irr.cycles, lower)
-        assert rescue is not None, "the loss bound is always attainable"
+        if rescue is None:
+            raise CertificateError(f"no spanning cycle reaches the bound {lower}")
         result, length = rescue, walk_length(d, rescue)
-    assert len(result.seq) == d.n and length >= lower
+    if len(result.seq) != d.n or length < lower:
+        raise CertificateError(f"result spans {len(result.seq)} of {d.n} vertices with"
+                               f" {length} arcs, bound {lower}")
     cert = {
         "c_f": cf,
         "c_prime": cprime,

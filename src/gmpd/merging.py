@@ -3,14 +3,17 @@ irreducible-factor engines.
 
 Candidates are splice shapes: the two cycles interleaved as one segment each
 (two junctions) or two segments each (four junctions).  Every candidate is
-checked by the walk validator and an arc-count floor before it is accepted;
-when no shape fits and the union is small enough, an exact subset search
-settles the question."""
+checked by the walk validator and an arc-count floor before it is accepted.
+When no shape fits, a no-loss merge (floor at least the union's size) needs a
+Hamiltonian cycle of the induced union: a union that is not strong has none
+at any size, and a strong one small enough is settled by the exact
+Hamiltonian search.  A merge that may lose arcs falls back to the exact
+longest-cycle search on small unions."""
 
 from typing import Iterator, Optional
 
-from .digraph import PartitionedDigraph, induce
-from .errors import HypothesisUnmet, TooLarge
+from .digraph import PartitionedDigraph, induce, is_strong
+from .errors import CertificateError, HypothesisUnmet, TooLarge
 from .walks import GWalk, canonical_cycle, insert_by_partners, open_cycle, validate_walk, walk_length
 
 DP_FALLBACK_CAP = 18
@@ -89,25 +92,38 @@ def certified_merge_cycles(
                 break
     if best is None:
         return _dp_merge(d, set(c1.seq) | set(c2.seq), floor)
-    walk = canonical_cycle(GWalk("cycle", best))
+    return _certified(d, best, floor)
+
+
+def _certified(d: PartitionedDigraph, seq: tuple, floor: int) -> GWalk:
+    walk = canonical_cycle(GWalk("cycle", seq))
     validate_walk(d, walk)
-    assert walk_length(d, walk) >= floor
+    length = walk_length(d, walk)
+    if length < floor:
+        raise CertificateError(f"merged cycle has {length} arcs, below the floor {floor}")
     return walk
 
 
 def _dp_merge(d: PartitionedDigraph, vertices, floor: int) -> Optional[GWalk]:
-    from .search import oracle_longest_spanning_gcycle
+    from .search import exact_ham_cycle, oracle_longest_spanning_gcycle
 
-    if len(vertices) > DP_FALLBACK_CAP:
-        raise TooLarge(len(vertices), DP_FALLBACK_CAP)
+    n = len(vertices)
     sub, old = induce(d, vertices)
-    res = oracle_longest_spanning_gcycle(sub, threshold=DP_FALLBACK_CAP)
-    if res is None or res[0] < floor:
+    no_loss = floor >= n
+    # a cycle through all n vertices has at most n arcs, all of them real only
+    # on a Hamiltonian cycle of the induced union, which must then be strong
+    if no_loss and (floor > n or not is_strong(sub)):
         return None
-    walk = canonical_cycle(GWalk("cycle", tuple(old[v - 1] for v in res[1].seq)))
-    validate_walk(d, walk)
-    assert walk_length(d, walk) >= floor
-    return walk
+    if n > DP_FALLBACK_CAP:
+        raise TooLarge(n, DP_FALLBACK_CAP)
+    if no_loss:
+        found = exact_ham_cycle(sub, threshold=DP_FALLBACK_CAP)
+    else:
+        res = oracle_longest_spanning_gcycle(sub, threshold=DP_FALLBACK_CAP)
+        found = res[1] if res is not None and res[0] >= floor else None
+    if found is None:
+        return None
+    return _certified(d, tuple(old[v - 1] for v in found.seq), floor)
 
 
 def certified_multi_merge(

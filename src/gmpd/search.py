@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import factor as factor_mod
-from .digraph import PartitionedDigraph, augment_terminals, induce
-from .errors import NoFactor, TooLarge
+from .digraph import PartitionedDigraph, _closure, augment_terminals
+from .errors import CertificateError, Degenerate, NoFactor, TooLarge
 from .walks import GWalk, canonical_cycle, validate_walk, walk_length
 
 DEFAULT_HAM_THRESHOLD = 20
@@ -46,19 +46,14 @@ def _check_size(n: int, default: int, override: Optional[int]):
 
 @lru_cache(maxsize=8)
 def _popcount_layers(n: int):
-    masks = np.arange(1 << n, dtype=np.int64)
+    """The subsets of n vertices (n < 32) as int32 masks, by popcount.
+
+    int32 halves what the cache keeps alive (4 MiB at n = 20).  Callers widen
+    one layer at a time to intp: numpy converts an int32 index array to intp
+    on every indexing, which is slower than converting each layer once."""
+    masks = np.arange(1 << n, dtype=np.int32)
     pc = np.bitwise_count(masks)
-    return tuple(np.flatnonzero(pc == p) for p in range(n + 1))
-
-
-def _adjacency_masks(d: PartitionedDigraph):
-    """0-based out/in neighborhoods as bitmasks."""
-    out = [0] * d.n
-    inn = [0] * d.n
-    for u, v in d.arcs:
-        out[u - 1] |= 1 << (v - 1)
-        inn[v - 1] |= 1 << (u - 1)
-    return out, inn
+    return tuple(np.flatnonzero(pc == p).astype(np.int32) for p in range(n + 1))
 
 
 def _step_cost_matrix(d: PartitionedDigraph) -> np.ndarray:
@@ -78,22 +73,16 @@ def _step_cost_matrix(d: PartitionedDigraph) -> np.ndarray:
 # -- Hamiltonian cycle / prescribed-end Hamiltonian path ------------------
 
 
-def _reach_dp_fast(n: int, out_mask, start: int) -> np.ndarray:
+def _reach_dp_fast(n: int, in_mask, start: int) -> np.ndarray:
     """dp[mask] = bitmask of vertices reachable as the last vertex of a path
-    that starts at `start` and visits exactly `mask`."""
+    that starts at `start` and visits exactly `mask`; in_mask[w] holds the
+    0-based predecessors of w."""
     dp = np.zeros(1 << n, dtype=np.uint32)
     dp[1 << start] = np.uint32(1 << start)
     layers = _popcount_layers(n)
-    in_mask = [0] * n
-    for u in range(n):
-        m = out_mask[u]
-        while m:
-            b = m & -m
-            in_mask[b.bit_length() - 1] |= 1 << u
-            m ^= b
     in_arr = [np.uint32(x & 0xFFFFFFFF) for x in in_mask]
     for p in range(1, n):
-        layer = layers[p]
+        layer = layers[p].astype(np.intp)
         sub = layer[dp[layer] != 0]
         if sub.size == 0:
             continue
@@ -116,22 +105,16 @@ def _lowest_bit_index(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _reconstruct_path(dp: np.ndarray, out_mask, start: int, last: int, full: int):
+def _reconstruct_path(dp: np.ndarray, in_mask, start: int, last: int, full: int):
     """Walk the reachability table backwards, smallest predecessor first."""
-    in_mask = [0] * len(out_mask)
-    for u in range(len(out_mask)):
-        m = out_mask[u]
-        while m:
-            b = m & -m
-            in_mask[b.bit_length() - 1] |= 1 << u
-            m ^= b
     seq = []
     mask, cur = full, last
     while cur != start or mask != (1 << start):
         seq.append(cur)
         pmask = mask ^ (1 << cur)
         cands = int(dp[pmask]) & in_mask[cur]
-        assert cands, "reconstruction must find a predecessor"
+        if not cands:
+            raise CertificateError(f"reachability table has no predecessor of vertex {cur + 1}")
         cur = _lowest_bit_index(cands)
         mask = pmask
     seq.append(start)
@@ -147,20 +130,17 @@ def exact_ham_cycle(
     n = d.n
     if n < 2:
         return None
-    out_mask, _ = _adjacency_masks(d)
-    dp = _reach_dp_fast(n, out_mask, 0)
+    dp = _reach_dp_fast(n, d.in_masks, 0)
     full = (1 << n) - 1
-    in0 = 0
-    for u in range(n):
-        if out_mask[u] & 1:
-            in0 |= 1 << u
-    closers = int(dp[full]) & in0
+    closers = int(dp[full]) & d.in_masks[0]
     if closers == 0:
         return None
     last = _lowest_bit_index(closers)
-    seq = _reconstruct_path(dp, out_mask, 0, last, full)
+    seq = _reconstruct_path(dp, d.in_masks, 0, last, full)
     cyc = canonical_cycle(GWalk("cycle", tuple(v + 1 for v in seq)))
-    assert all((u, v) in d.arcs for u, v in cyc.pairs())
+    for u, v in cyc.pairs():
+        if (u, v) not in d.arcs:
+            raise CertificateError(f"Hamiltonian cycle uses the non-arc ({u},{v})")
     return cyc
 
 
@@ -178,16 +158,16 @@ def exact_xy_spanning_gpath(
     _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
     n = d.n
     part = d.part_vector
-    out_mask = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if u != v and ((u + 1, v + 1) in d.arcs or part[u] == part[v]):
-                out_mask[u] |= 1 << v
-    dp = _reach_dp_fast(n, out_mask, x - 1)
+    same = [0] * (d.c + 1)
+    for v in range(n):
+        same[part[v]] |= 1 << v
+    # predecessors along an arc or a jump inside the partite set
+    in_mask = [(d.in_masks[v] | same[part[v]]) & ~(1 << v) for v in range(n)]
+    dp = _reach_dp_fast(n, in_mask, x - 1)
     full = (1 << n) - 1
     if not int(dp[full]) >> (y - 1) & 1:
         return None
-    seq = _reconstruct_path(dp, out_mask, x - 1, y - 1, full)
+    seq = _reconstruct_path(dp, in_mask, x - 1, y - 1, full)
     walk = GWalk("path", tuple(v + 1 for v in seq))
     validate_walk(d, walk)
     assert walk.seq[0] == x and walk.seq[-1] == y and len(walk.seq) == n
@@ -207,7 +187,7 @@ def _min_jump_cycle_dp(d: PartitionedDigraph) -> Optional[Tuple[int, GWalk]]:
     dp = np.full((1 << n, n), _BIG, dtype=np.int32)
     dp[1, 0] = 0
     for p in range(1, n):
-        layer = layers[p]
+        layer = layers[p].astype(np.intp)
         rows = dp[layer]
         alive = layer[(rows < _BIG).any(axis=1)]
         if alive.size == 0:
@@ -259,7 +239,7 @@ def _max_arc_path_dp(d: PartitionedDigraph) -> Tuple[int, GWalk]:
     for v in range(n):
         dp[1 << v, v] = 0
     for p in range(1, n):
-        layer = layers[p]
+        layer = layers[p].astype(np.intp)
         rows = dp[layer]
         alive = layer[(rows > -_BIG).any(axis=1)]
         if alive.size == 0:
@@ -423,17 +403,7 @@ def _jump_matrix(d: PartitionedDigraph) -> np.ndarray:
     first reached with k jumps.
     """
     n = d.n
-    out, _ = _adjacency_masks(d)
-    closure = []
-    for v in range(n):
-        seen = frontier = 1 << v
-        while frontier:
-            step = 0
-            for w in _bits(frontier):
-                step |= out[w]
-            frontier = step & ~seen
-            seen |= frontier
-        closure.append(seen)
+    closure = [_closure(d.out_masks, v) for v in range(n)]
     parts = [0] * d.c
     for v, p in enumerate(d.part_vector):
         parts[p - 1] |= 1 << v
@@ -469,7 +439,7 @@ def jump_metrics(d: PartitionedDigraph) -> JumpMetrics:
     big_n = int(dist.max())
     try:
         cf = factor_mod.c_f(d)
-    except NoFactor:
+    except (NoFactor, Degenerate):
         cf = None
     bound = min(d.n - big_n, cf) if cf is not None else None
     return JumpMetrics(
@@ -480,16 +450,3 @@ def jump_metrics(d: PartitionedDigraph) -> JumpMetrics:
         bound=bound,
     )
 
-
-def induced_oracle_cycle(
-    d: PartitionedDigraph, vertices, threshold: Optional[int] = None
-) -> Optional[Tuple[int, GWalk]]:
-    """Longest spanning generalized cycle of an induced subdigraph, mapped
-    back to original vertex ids."""
-    sub, old = induce(d, vertices)
-    res = oracle_longest_spanning_gcycle(sub, threshold)
-    if res is None:
-        return None
-    arcs, walk = res
-    mapped = canonical_cycle(GWalk("cycle", tuple(old[v - 1] for v in walk.seq)))
-    return arcs, mapped

@@ -93,20 +93,12 @@ def is_spanning(d: PartitionedDigraph, w: GWalk) -> bool:
     return len(w.seq) == d.n
 
 
-def is_real_walk(d: PartitionedDigraph, w: GWalk) -> bool:
-    return all(t == REAL for t in validate_walk(d, w))
-
-
 def canonical_cycle(w: GWalk) -> GWalk:
     """Rotate a cycle so the smallest vertex id comes first."""
     if w.kind != "cycle":
         return w
     i = w.seq.index(min(w.seq))
     return GWalk("cycle", w.seq[i:] + w.seq[:i])
-
-
-def rotate_cycle(w: GWalk, start_index: int) -> GWalk:
-    return GWalk("cycle", w.seq[start_index:] + w.seq[:start_index])
 
 
 def open_cycle(w: GWalk, start_index: int) -> GWalk:

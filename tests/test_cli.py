@@ -77,6 +77,15 @@ def test_bound_fig2(capsys):
     assert lines["N"] == "0" and lines["c_f"] == "16" and lines["bound"] == "16"
 
 
+def test_bound_single_vertex(capsys, tmp_path):
+    p = tmp_path / "one.gmpd"
+    p.write_text("gmpd 1\n1 1\n1\n0\n")
+    code, out, _ = run_cli(["bound", str(p)], capsys)
+    assert code == 0
+    lines = dict(l.split(" ", 1) for l in out.strip().splitlines())
+    assert lines["N"] == "0" and lines["c_f"] == "none" and lines["bound"] == "none"
+
+
 def test_factor_fig1_json(capsys):
     code, out, _ = run_cli(["--json", "factor", str(GOLDEN / "fig1.gmpd")], capsys)
     assert code == 0

@@ -154,6 +154,12 @@ def test_jump_metrics_strong_gives_zero(fig1):
     assert jm.N == 0 and jm.bound == 5 and not jm.unreachable
 
 
+def test_jump_metrics_single_vertex_has_no_bound():
+    jm = jump_metrics(PartitionedDigraph([1], []))
+    assert jm.N == 0 and jm.c_f is None and jm.bound is None
+    assert dict(jm.n_xy) == {} and jm.unreachable == ()
+
+
 def test_jump_metrics_bipartite_counterexample():
     # two disjoint two-cycles, second dominating the first: c_f=n, N=1,
     # bound n-1, but no spanning cycle reaches n-1 arcs
