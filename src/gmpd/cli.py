@@ -15,7 +15,7 @@ from .errors import GmpdError
 from .fileformat import InstanceFile, emit_instance, parse_instance
 from .generators import generate
 from .npc import parse_dimacs
-from .walks import render_walk
+from .walks import render_walk, walk_length
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -99,8 +99,6 @@ def _cmd_longest_gpath(args) -> _Result:
     walk = construct.longest_gpath(d)
     res = _Result()
     res.set("status", "ok")
-    from .walks import walk_length
-
     res.set("length", walk_length(d, walk))
     res.set("witness", render_walk(d, walk))
     return res
@@ -109,8 +107,6 @@ def _cmd_longest_gpath(args) -> _Result:
 def _cmd_spanning_gcycle(args) -> _Result:
     inst = _load(args.instance)
     d = inst.digraph
-    from .walks import walk_length
-
     res = _Result()
     if args.ext:
         cyc = extended.spanning_gcycle_extsd(d)
@@ -215,8 +211,6 @@ def _cmd_npc(args) -> _Result:
 def _cmd_oracle(args) -> _Result:
     inst = _load(args.instance)
     d = inst.digraph
-    from .walks import walk_length
-
     res = _Result()
     if args.what == "gcycle":
         out = search.oracle_longest_spanning_gcycle(d)

@@ -170,7 +170,8 @@ def exact_xy_spanning_gpath(
     seq = _reconstruct_path(dp, in_mask, x - 1, y - 1, full)
     walk = GWalk("path", tuple(v + 1 for v in seq))
     validate_walk(d, walk)
-    assert walk.seq[0] == x and walk.seq[-1] == y and len(walk.seq) == n
+    if walk.seq[0] != x or walk.seq[-1] != y or len(walk.seq) != n:
+        raise CertificateError(f"the reconstructed walk is not a spanning ({x},{y})-walk")
     return walk
 
 
@@ -219,13 +220,15 @@ def _min_jump_cycle_dp(d: PartitionedDigraph) -> Optional[Tuple[int, GWalk]]:
         prevs = dp[pmask] + cost[:, cur]
         want = int(dp[mask, cur])
         cand = np.flatnonzero(prevs == want)
-        assert cand.size
+        if not cand.size:
+            raise CertificateError(f"min-jump table has no predecessor of vertex {cur + 1}")
         cur = int(cand[0])
         mask = pmask
         seq.append(cur)
     seq.reverse()
     walk = canonical_cycle(GWalk("cycle", tuple(v + 1 for v in seq)))
-    assert walk_length(d, walk) == n - j
+    if walk_length(d, walk) != n - j:
+        raise CertificateError(f"the min-jump cycle does not have {n - j} arcs")
     return j, walk
 
 
@@ -261,7 +264,8 @@ def _max_arc_path_dp(d: PartitionedDigraph) -> Tuple[int, GWalk]:
     full = (1 << n) - 1
     best_spanning = int(dp[full].max())
     # a longest generalized path can always be grown to a spanning one
-    assert best_spanning == best_overall
+    if best_spanning != best_overall:
+        raise CertificateError("no spanning generalized path attains the maximum arc count")
     last = int(dp[full].argmax())
     seq = [last]
     mask, cur = full, last
@@ -270,13 +274,15 @@ def _max_arc_path_dp(d: PartitionedDigraph) -> Tuple[int, GWalk]:
         prevs = dp[pmask] + gain[:, cur]
         want = int(dp[mask, cur])
         cand = np.flatnonzero(prevs == want)
-        assert cand.size
+        if not cand.size:
+            raise CertificateError(f"max-arc table has no predecessor of vertex {cur + 1}")
         cur = int(cand[0])
         mask = pmask
         seq.append(cur)
     seq.reverse()
     walk = GWalk("path", tuple(v + 1 for v in seq))
-    assert walk_length(d, walk) == best_overall
+    if walk_length(d, walk) != best_overall:
+        raise CertificateError(f"the max-arc path does not have {best_overall} arcs")
     return best_overall, walk
 
 
@@ -315,7 +321,11 @@ def spanning_gcycle_at_least(
 ) -> Optional[GWalk]:
     """Witness spanning generalized cycle with at least n-k arcs, or None.
 
-    Tries k' = 0..k; for each, every terminal set X of size k' in ascending
+    No spanning generalized cycle has more than min{n-N, c_f} arcs, and a
+    Hamiltonian cycle of the instance augmented at a terminal set X decodes
+    to one with at least n-|X| arcs.  So no bound, or a bound below n-k, is
+    a "no" at any n, and only the sizes k' = max(0, n - bound)..k meet the
+    size cap: for each, every terminal set X of size k' in ascending
     lexicographic order, augmenting the instance and running the exact
     Hamiltonian engine.  The first witness found is decoded back: arcs the
     base lacks become jumps.
@@ -325,9 +335,15 @@ def spanning_gcycle_at_least(
         raise ValueError("k must be nonnegative")
     if k > k_cap:
         raise TooLarge(k, k_cap)
+    bound = jump_metrics(d).bound
+    if bound is None:
+        return None
+    k_min = max(0, d.n - bound)
+    if k_min > k:
+        return None
     _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
     verts = sorted(d.vertices())
-    for k2 in range(k + 1):
+    for k2 in range(k_min, k + 1):
         for x_set in combinations(verts, k2):
             dx = augment_terminals(d, x_set)
             cyc = exact_ham_cycle(dx, threshold)
@@ -336,7 +352,8 @@ def spanning_gcycle_at_least(
             walk = canonical_cycle(GWalk("cycle", cyc.seq))
             validate_walk(d, walk)
             got = walk_length(d, walk)
-            assert got >= d.n - k
+            if got < d.n - k2:
+                raise CertificateError(f"the decoded cycle has {got} arcs, fewer than {d.n - k2}")
             return walk
     return None
 

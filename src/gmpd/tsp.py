@@ -7,10 +7,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .construct import longest_gpath
 from .digraph import PartitionedDigraph
-from .errors import CliqueViolation, NotSemicomplete
+from .errors import CertificateError, CliqueViolation, NotSemicomplete
 from .extended import spanning_gcycle_extsd, require_extended
 from .irreducible import spanning_gcycle_strong
-from .search import jump_metrics, spanning_gcycle_at_least
+from .search import spanning_gcycle_at_least
 from .walks import GWalk, walk_length
 
 MODE_EXTENDED_EXACT = "extended-exact"
@@ -148,13 +148,14 @@ def tour_cost(inst: ZOTSPInstance, mode: str, k: Optional[int] = None) -> dict:
         assert cost <= k
         return {"mode": mode, "status": "yes", "k": k, "cost": cost, "tour": seq}
     if mode == MODE_STRONG_BOUND:
-        metrics = jump_metrics(d)
         cyc, cert = spanning_gcycle_strong(d)
-        assert metrics.bound is not None
-        lo = n - metrics.bound
+        # a real path joins every ordered pair of a strong instance, so N = 0
+        # and min{n-N, c_f} is the c_f that the route has certified
+        lo = n - cert["c_f"]
         hi = n - cert["lower_bound"]
         seq, achieved = _reinsert_ones(inst, d, cyc)
-        assert lo <= achieved <= hi
+        if not lo <= achieved <= hi:
+            raise CertificateError(f"tour weight {achieved} lies outside [{lo}, {hi}]")
         return {
             "mode": mode,
             "status": "ok",

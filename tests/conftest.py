@@ -2,9 +2,9 @@
 hypothesis settings profile.
 
 The brute-force routines here enumerate permutations and subsets directly,
-and the re-solve lex-min and the 0-1 BFS are the plain algorithms the
-packaged engines replaced; they exist to validate the packaged engines and
-must stay independent of them."""
+and the re-solve lex-min, the 0-1 BFS and the unpruned terminal-set
+enumeration are the plain algorithms the packaged engines replaced; they
+exist to validate the packaged engines and must stay independent of them."""
 
 from collections import deque
 from itertools import combinations, permutations
@@ -14,8 +14,10 @@ import pytest
 from hypothesis import settings
 from scipy.optimize import linear_sum_assignment
 
-from gmpd.digraph import PartitionedDigraph
+from gmpd.digraph import PartitionedDigraph, augment_terminals
 from gmpd.generators import random_extended, random_smd
+from gmpd.search import exact_ham_cycle
+from gmpd.walks import GWalk, canonical_cycle
 
 # every property test replays the same examples, with a bounded count, so the
 # suite stays deterministic and its run time fixed
@@ -150,6 +152,22 @@ def reference_jump_distances(d, source):
                 dist[v] = du + 1
                 dq.append(v)
     return dist
+
+
+def reference_spanning_gcycle_at_least(d, k):
+    """First spanning generalized cycle with at least n-k arcs, or None.
+
+    Every terminal set X with |X| = 0..k, in ascending lexicographic order,
+    runs the Hamiltonian engine on the augmented instance, with no bound
+    deciding any set beforehand and no size cap on n or k.
+    """
+    verts = sorted(d.vertices())
+    for size in range(k + 1):
+        for x_set in combinations(verts, size):
+            cyc = exact_ham_cycle(augment_terminals(d, x_set), threshold=d.n)
+            if cyc is not None:
+                return canonical_cycle(GWalk("cycle", cyc.seq))
+    return None
 
 
 def fig1_digraph():

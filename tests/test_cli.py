@@ -123,6 +123,19 @@ def test_spanning_gcycle_atleast_exit_codes(capsys, tmp_path):
     assert code == 1 and "status no" in out
 
 
+def test_spanning_gcycle_atleast_past_the_size_cap(capsys, tmp_path):
+    # n = 44, bound 36 < 42: a "no" the bound decides, at any n
+    p = tmp_path / "noclose_4_9.gmpd"
+    p.write_text(emit_instance(noclose(4, 9)))
+    code, out, err = run_cli(["spanning-gcycle", "--atleast", "2", str(p)], capsys)
+    assert code == 1 and out.split() == ["status", "no"] and "TooLarge" not in err
+    # n = 22 with bound 22: the answer is open, and the enumeration is capped
+    p = tmp_path / "random_22.gmpd"
+    p.write_text(emit_instance(generate("random", ["22", "4", "0.5"], seed=7)))
+    code, out, err = run_cli(["spanning-gcycle", "--atleast", "2", str(p)], capsys)
+    assert code == 2 and "TooLarge" in err
+
+
 def test_xy_gpath_cli(capsys):
     code, out, _ = run_cli(["xy-gpath", "4", "5", str(GOLDEN / "fig1.gmpd")], capsys)
     assert code == 0

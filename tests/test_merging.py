@@ -143,7 +143,7 @@ def test_corrupt_merge_raises_certificate_error(monkeypatch, tmp_path):
     assert main(["spanning-gcycle", "--strong", str(path)]) == 2
 
 
-@pytest.mark.parametrize("module", ["factor", "merging", "irreducible"])
+@pytest.mark.parametrize("module", ["factor", "merging", "irreducible", "search"])
 def test_certificates_are_not_asserts(module):
     # asserts vanish under python -O; certificates must raise a package error
     source = Path(gmpd.__file__).with_name(f"{module}.py")

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gmpd.digraph import PartitionedDigraph, augment_terminals, is_k_strong, is_strong
 from gmpd.errors import TooLarge
+from gmpd.generators import fig1 as fig1_instance, fig2, noclose
 from gmpd.search import (
     exact_ham_cycle,
     exact_xy_spanning_gpath,
@@ -19,6 +20,7 @@ from conftest import (
     brute_longest_spanning_gcycle,
     random_smd_digraph,
     reference_jump_distances,
+    reference_spanning_gcycle_at_least,
 )
 
 
@@ -99,6 +101,80 @@ def test_at_least_matches_oracle():
             assert (got is not None) == want
             if got is not None:
                 assert walk_length(d, got) >= d.n - k
+
+
+def random_smds(low, high):
+    return st.builds(random_smd_digraph, n=st.integers(low, high), c=st.integers(1, 5),
+                     density=st.sampled_from([0.0, 0.2, 0.5]), seed=st.integers(0, 10 ** 6))
+
+
+def shared_dominating_union(a, b):
+    """a and b side by side on shared partite indices, with every arc between
+    them from a to b: an SMD in which b reaches a only by jumps."""
+    part = list(a.part_vector) + list(b.part_vector)
+    arcs = set(a.arcs) | {(u + a.n, v + a.n) for u, v in b.arcs}
+    arcs |= {(u, v) for u in a.vertices() for v in range(a.n + 1, len(part) + 1)
+             if part[u - 1] != part[v - 1]}
+    return PartitionedDigraph(part, arcs)
+
+
+@settings(max_examples=60)
+@given(st.one_of(random_smds(4, 12), st.builds(shared_dominating_union, random_smds(2, 6),
+                                                random_smds(2, 6))),
+       st.integers(0, 4))
+def test_at_least_matches_reference_enumeration(d, k):
+    assert spanning_gcycle_at_least(d, k) == reference_spanning_gcycle_at_least(d, k)
+
+
+# no generalized cycle factor: vertex 3 has no out-arc and no partite mate
+NO_FACTOR = PartitionedDigraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+NAMED = {
+    "noclose 1 3": (noclose(1, 3).digraph, 4),
+    "noclose 2 3": (noclose(2, 3).digraph, 4),
+    "noclose 1 5": (noclose(1, 5).digraph, 4),
+    "noclose 2 4": (noclose(2, 4).digraph, 4),
+    "fig1": (fig1_instance().digraph, 2),
+    "fig2": (fig2().digraph, 2),
+    "one vertex": (PartitionedDigraph([1], []), 2),
+    "no factor": (NO_FACTOR, 2),
+    # bound 3 leaves k = 1 open, and the enumeration answers "no"
+    "dominated two-cycles": (PartitionedDigraph(
+        [1, 2, 1, 2], [(1, 2), (2, 1), (3, 4), (4, 3), (3, 2), (4, 1)]), 2),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_at_least_named_instances_match_reference(name):
+    d, k_max = NAMED[name]
+    for k in range(k_max + 1):
+        assert spanning_gcycle_at_least(d, k) == reference_spanning_gcycle_at_least(d, k), k
+
+
+def test_at_least_bound_decides_no_past_the_size_cap():
+    d = noclose(4, 9).digraph
+    assert d.n == 44 and jump_metrics(d).bound == 36
+    assert spanning_gcycle_at_least(d, 2) is None
+    assert spanning_gcycle_at_least(d, 6) is None
+    # a transitive tournament on 25 vertices has no cycle factor, so no bound
+    d = PartitionedDigraph(list(range(1, 26)), [(u, v) for u in range(1, 26)
+                                                for v in range(u + 1, 26)])
+    assert jump_metrics(d).bound is None
+    assert spanning_gcycle_at_least(d, 2) is None
+
+
+def test_at_least_open_past_the_size_cap_raises_too_large():
+    d = random_smd_digraph(22, 4, 0.5, 7)
+    assert jump_metrics(d).bound >= d.n - 2
+    with pytest.raises(TooLarge):
+        spanning_gcycle_at_least(d, 2)
+
+
+def test_at_least_checks_k_before_the_bound():
+    d = noclose(4, 9).digraph
+    with pytest.raises(ValueError):
+        spanning_gcycle_at_least(d, -1)
+    with pytest.raises(TooLarge):
+        spanning_gcycle_at_least(d, 7)
 
 
 def test_xy_gpath_two_vertices():

@@ -2,8 +2,11 @@ from itertools import permutations
 
 import pytest
 
+import gmpd.factor
 from gmpd.digraph import PartitionedDigraph, is_strong
 from gmpd.errors import CliqueViolation, NotExtended
+from gmpd.irreducible import spanning_gcycle_strong
+from gmpd.search import jump_metrics
 from gmpd.tsp import (
     MODE_AT_MOST_K,
     MODE_EXTENDED_EXACT,
@@ -14,6 +17,7 @@ from gmpd.tsp import (
     tour_cost,
     validate_zotsp,
 )
+from gmpd.walks import walk_length
 
 from conftest import random_extended_digraph, random_smd_digraph
 
@@ -161,3 +165,31 @@ def test_tour_strong_bound_contains_optimum():
         assert want is not None
         assert out["low"] <= want <= out["high"]
         assert out["achieved"] >= want
+
+
+def test_tour_strong_bound_solves_c_f_once(monkeypatch):
+    # low is n minus the min{n-N, c_f} bound of jump_metrics, high and achieved
+    # come from the strong route; the tour solves no assignment beyond the route's
+    solves = []
+    lexmin = gmpd.factor.lexmin_assignment
+    monkeypatch.setattr(gmpd.factor, "lexmin_assignment",
+                        lambda cost: solves.append(len(cost)) or lexmin(cost))
+    checked = 0
+    for seed in range(30):
+        d = random_smd_digraph(7 + seed % 6, 2 + seed % 3, 0.3, seed + 900)
+        if not is_strong(d):
+            continue
+        inst = _instance_from_smd(d)
+        base = to_smd(inst)
+        del solves[:]
+        cyc, cert = spanning_gcycle_strong(base)
+        route_solves = len(solves)
+        del solves[:]
+        out = tour_cost(inst, MODE_STRONG_BOUND)
+        assert len(solves) == route_solves
+        assert out["low"] == d.n - jump_metrics(base).bound
+        assert out["high"] == d.n - cert["lower_bound"]
+        assert out["achieved"] == d.n - walk_length(base, cyc)
+        assert tuple(out["tour"]) == cyc.seq
+        checked += 1
+    assert checked >= 10
