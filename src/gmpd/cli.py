@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--ext", action="store_true", help="extended-semicomplete exact")
-    group.add_argument("--strong", action="store_true", help="strong-instance bound route")
     group.add_argument("--atleast", type=int, metavar="K", help="decision: length >= n-K")
     p.set_defaults(func=_cmd_spanning_gcycle)
 

@@ -4,8 +4,8 @@ paths, vertex absorption into cycles, and factor growth."""
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .digraph import PartitionedDigraph, contract_partite, induce, is_strong
-from .errors import NotSemicomplete, NotStrong
+from .digraph import PartitionedDigraph, contract_partite, induce, is_strong, strong_components
+from .errors import CertificateError, NotSemicomplete, NotStrong
 from .factor import max_arc_gcycle_factor, max_arc_path_cycle_subdigraph
 from .search import oracle_longest_gpath
 from .walks import (
@@ -45,7 +45,8 @@ def tournament_ham_path(s: PartitionedDigraph) -> GWalk:
         if not placed:
             seq.append(v)
     walk = GWalk("path", tuple(seq))
-    assert all((u, w) in s.arcs for u, w in walk.pairs())
+    if not all((u, w) in s.arcs for u, w in walk.pairs()):
+        raise CertificateError("the inserted path uses a non-arc")
     return walk
 
 
@@ -76,7 +77,7 @@ def tournament_ham_cycle(s: PartitionedDigraph) -> GWalk:
     tri = _first_three_cycle(s)
     if tri is None:
         # strong semicomplete digraphs on >= 3 vertices contain a 3-cycle
-        raise AssertionError("no 3-cycle found in a strong semicomplete digraph")
+        raise CertificateError("no 3-cycle found in a strong semicomplete digraph")
     seq = list(tri)
     while len(seq) < s.n:
         outside = [v for v in s.vertices() if v not in seq]
@@ -103,12 +104,14 @@ def tournament_ham_cycle(s: PartitionedDigraph) -> GWalk:
                     break
             if pair:
                 break
-        assert pair is not None, "strongness guarantees an escape arc"
+        if pair is None:
+            raise CertificateError("strongness guarantees an escape arc")
         w, z = pair
         # every cycle vertex dominates w; z dominates every cycle vertex
         seq[1:1] = [w, z]
     walk = canonical_cycle(GWalk("cycle", tuple(seq)))
-    assert all((u, v) in s.arcs for u, v in walk.pairs())
+    if not all((u, v) in s.arcs for u, v in walk.pairs()):
+        raise CertificateError("the grown cycle uses a non-arc")
     return walk
 
 
@@ -152,7 +155,8 @@ def good_gcycle_length_c(d: PartitionedDigraph) -> GWalk:
     ham = tournament_ham_cycle(dc)
     seq = _decode_contracted_arcs(d, list(ham.seq), closed=True)
     walk = canonical_cycle(GWalk("cycle", tuple(seq)))
-    assert walk_length(d, walk) == d.c and is_good(d, walk)
+    if walk_length(d, walk) != d.c or not is_good(d, walk):
+        raise CertificateError(f"the decoded cycle is not a good cycle with {d.c} arcs")
     return walk
 
 
@@ -165,7 +169,8 @@ def good_gpath_length_c_minus_1(d: PartitionedDigraph) -> GWalk:
     ham = tournament_ham_path(dc)
     seq = _decode_contracted_arcs(d, list(ham.seq), closed=False)
     walk = GWalk("path", tuple(seq))
-    assert walk_length(d, walk) == d.c - 1 and is_good(d, walk)
+    if walk_length(d, walk) != d.c - 1 or not is_good(d, walk):
+        raise CertificateError(f"the decoded path is not a good path with {d.c - 1} arcs")
     return walk
 
 
@@ -223,10 +228,9 @@ def merge_path_cycle(d: PartitionedDigraph, p: GWalk, c: GWalk) -> GWalk:
             return out
     sub, old = induce(d, set(p.seq) | set(c.seq))
     arcs_best, walk = oracle_longest_gpath(sub)
-    assert arcs_best >= target, "a no-loss merge always exists"
-    mapped = GWalk("path", tuple(old[v - 1] for v in walk.seq))
-    assert len(walk.seq) == sub.n
-    return mapped
+    if arcs_best < target or len(walk.seq) != sub.n:
+        raise CertificateError(f"no spanning path of the union keeps {target} arcs")
+    return GWalk("path", tuple(old[v - 1] for v in walk.seq))
 
 
 def longest_gpath(d: PartitionedDigraph) -> GWalk:
@@ -242,7 +246,8 @@ def longest_gpath(d: PartitionedDigraph) -> GWalk:
     for cyc in sorted(remainder.cycles, key=lambda c: c.seq[0]):
         path = merge_path_cycle(d, path, cyc)
     got = walk_length(d, path)
-    assert got == total and is_spanning(d, path)
+    if got != total or not is_spanning(d, path):
+        raise CertificateError(f"the folded path is not spanning with {total} arcs")
     return path
 
 
@@ -263,6 +268,29 @@ def _insert_vertex_no_loss(d: PartitionedDigraph, c: GWalk, v: int) -> Optional[
     return None
 
 
+def _bfs_path(neighbours, source: int, is_target) -> Optional[List[int]]:
+    """The first path [source, ..., u, t] in breadth-first order whose last
+    step u -> t hits a target t, or None; neighbours(u) gives the scan order
+    and the source itself may be a target."""
+    parent = {source: None}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in neighbours(u):
+                if is_target(w):
+                    path = [w]
+                    while u is not None:
+                        path.append(u)
+                        u = parent[u]
+                    return path[::-1]
+                if w not in parent:
+                    parent[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    return None
+
+
 def _attach_by_path(d: PartitionedDigraph, c: GWalk, v: int) -> Optional[GWalk]:
     """Absorb v (and the connecting interior) via a shortest path to or from
     the cycle, used when v sees the cycle in one direction only."""
@@ -271,64 +299,16 @@ def _attach_by_path(d: PartitionedDigraph, c: GWalk, v: int) -> Optional[GWalk]:
     ins = any((x, v) in d.arcs for x in cset)
     if outs and ins:
         return None
-    if not outs:
-        # path from v into the cycle; predecessor side of the entry point
-        parent = {v: None}
-        frontier = [v]
-        hit = None
-        while frontier and hit is None:
-            nxt = []
-            for u in frontier:
-                for w in sorted(d.out(u)):
-                    if w in parent:
-                        continue
-                    parent[w] = u
-                    if w in cset:
-                        hit = w
-                        break
-                    nxt.append(w)
-                if hit:
-                    break
-            frontier = nxt
-        if hit is None:
-            return None
-        chain = []
-        cur = parent[hit]
-        while cur is not None:
-            chain.append(cur)
-            cur = parent[cur]
-        chain.reverse()               # v .. last interior vertex
-        k = c.seq.index(hit)
-        new_seq = c.seq[k:] + c.seq[:k] + tuple(chain)
-        return GWalk("cycle", new_seq)
-    # mirror: path from the cycle out to v, appended after its exit point
-    parent = {v: None}
-    frontier = [v]
-    hit = None
-    while frontier and hit is None:
-        nxt = []
-        for u in frontier:
-            for w in sorted(d.inn(u)):
-                if w in parent:
-                    continue
-                parent[w] = u
-                if w in cset:
-                    hit = w
-                    break
-                nxt.append(w)
-            if hit:
-                break
-        frontier = nxt
-    if hit is None:
+    # without outs: a path from v into the cycle, put before its entry point;
+    # otherwise, searching backwards, a path from the cycle out to v, put
+    # after its exit point
+    into = not outs
+    path = _bfs_path(d.out if into else d.inn, v, cset.__contains__)
+    if path is None:
         return None
-    chain = []
-    cur = parent[hit]
-    while cur is not None:
-        chain.append(cur)
-        cur = parent[cur]
-    k = c.seq.index(hit)
-    new_seq = c.seq[k + 1:] + c.seq[: k + 1] + tuple(chain)
-    return GWalk("cycle", new_seq)
+    k = c.seq.index(path[-1]) + (0 if into else 1)
+    chain = path[:-1] if into else path[-2::-1]
+    return GWalk("cycle", c.seq[k:] + c.seq[:k] + tuple(chain))
 
 
 def absorb_to_spanning(d: PartitionedDigraph, c: GWalk) -> GWalk:
@@ -348,11 +328,13 @@ def absorb_to_spanning(d: PartitionedDigraph, c: GWalk) -> GWalk:
                 grown = _attach_by_path(d, current, v)
             if grown is not None:
                 new_length = walk_length(d, grown)
-                assert new_length >= length and len(grown.seq) > len(current.seq)
+                if new_length < length or len(grown.seq) <= len(current.seq):
+                    raise CertificateError("an absorption step lost an arc or no vertex")
                 current, length = grown, new_length
                 progressed = True
                 break
-        assert progressed, "a strong instance always admits an absorption step"
+        if not progressed:
+            raise CertificateError("a strong instance always admits an absorption step")
     return canonical_cycle(current)
 
 
@@ -367,35 +349,15 @@ def _trivial_cycles_of(d: PartitionedDigraph, uncovered) -> List[GWalk]:
 
 def _real_cycle_among(d: PartitionedDigraph, uncovered) -> Optional[GWalk]:
     sub, old = induce(d, uncovered)
-    from .digraph import strong_components
-
     for comp in strong_components(sub):
         if len(comp) < 2:
             continue
         start = comp[0]
         allowed = set(comp)
-        parent = {start: None}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in sorted(sub.out(u)):
-                    if w not in allowed:
-                        continue
-                    if w == start:
-                        chain = [u]
-                        cur = parent[u]
-                        while cur is not None:
-                            chain.append(cur)
-                            cur = parent[cur]
-                        chain.reverse()
-                        return canonical_cycle(
-                            GWalk("cycle", tuple(old[x - 1] for x in chain))
-                        )
-                    if w not in parent:
-                        parent[w] = u
-                        nxt.append(w)
-            frontier = nxt
+        path = _bfs_path(lambda u: [w for w in sub.out(u) if w in allowed], start,
+                         lambda w: w == start)
+        if path is not None:
+            return canonical_cycle(GWalk("cycle", tuple(old[x - 1] for x in path[:-1])))
     return None
 
 
@@ -413,13 +375,16 @@ def grow_factor(d: PartitionedDigraph, f0: GFactor) -> GFactor:
         covered = {v for c in cycles for v in c.seq}
         uncovered = sorted(set(d.vertices()) - covered)
         if not uncovered:
+            out = GFactor(tuple(sorted((canonical_cycle(c) for c in cycles),
+                                       key=lambda c: c.seq[0])))
             break
         progressed = False
         for v in uncovered:
             for i, c in enumerate(cycles):
                 grown = _insert_vertex_no_loss(d, c, v)
                 if grown is not None:
-                    assert walk_length(d, grown) >= walk_length(d, c)
+                    if walk_length(d, grown) < walk_length(d, c):
+                        raise CertificateError(f"inserting vertex {v} lost an arc")
                     cycles[i] = grown
                     progressed = True
                     break
@@ -435,9 +400,11 @@ def grow_factor(d: PartitionedDigraph, f0: GFactor) -> GFactor:
         if trivials:
             cycles.extend(trivials)
             continue
-        raise AssertionError("a strong instance always completes to a factor")
-    cycles = sorted((canonical_cycle(c) for c in cycles), key=lambda c: c.seq[0])
-    out = GFactor(tuple(cycles))
+        # growth can stall on a strong instance: nothing inserts, and the rest
+        # holds no real cycle and no two vertices of one partite set
+        out = max_arc_gcycle_factor(d)
+        break
     validate_factor(d, out)
-    assert out.arc_count(d) >= base_arcs
+    if out.arc_count(d) < base_arcs:
+        raise CertificateError(f"the factor has fewer arcs than the seed's {base_arcs}")
     return out

@@ -56,18 +56,14 @@ def _popcount_layers(n: int):
     return tuple(np.flatnonzero(pc == p).astype(np.int32) for p in range(n + 1))
 
 
-def _step_cost_matrix(d: PartitionedDigraph) -> np.ndarray:
-    """cost[u, v]: 0 for an arc, 1 for a same-partite jump, else forbidden."""
-    n = d.n
-    cost = np.full((n, n), _BIG, dtype=np.int32)
-    part = d.part_vector
-    for u in range(n):
-        for v in range(n):
-            if u != v and part[u] == part[v]:
-                cost[u, v] = 1
+def _gain_matrix(d: PartitionedDigraph) -> np.ndarray:
+    """gain[u, v]: 1 for an arc, 0 for a same-partite jump, else forbidden."""
+    part = np.asarray(d.part_vector)
+    gain = np.where(part[:, None] == part[None, :], 0, -_BIG).astype(np.int32)
+    np.fill_diagonal(gain, -_BIG)
     for u, v in d.arcs:
-        cost[u - 1, v - 1] = 0
-    return cost
+        gain[u - 1, v - 1] = 1
+    return gain
 
 
 # -- Hamiltonian cycle / prescribed-end Hamiltonian path ------------------
@@ -178,73 +174,24 @@ def exact_xy_spanning_gpath(
 # -- longest-walk oracles --------------------------------------------------
 
 
-def _min_jump_cycle_dp(d: PartitionedDigraph) -> Optional[Tuple[int, GWalk]]:
-    """Minimum jump count over spanning cyclic sequences (start pinned at 1)."""
-    n = d.n
-    if n < 2:
-        return None
-    cost = _step_cost_matrix(d)
-    layers = _popcount_layers(n)
-    dp = np.full((1 << n, n), _BIG, dtype=np.int32)
-    dp[1, 0] = 0
-    for p in range(1, n):
-        layer = layers[p].astype(np.intp)
-        rows = dp[layer]
-        alive = layer[(rows < _BIG).any(axis=1)]
-        if alive.size == 0:
-            continue
-        block = dp[alive]
-        for w in range(1, n):
-            bw = 1 << w
-            free = (alive & bw) == 0
-            if not free.any():
-                continue
-            vals = block[free] + cost[:, w][None, :]
-            best = vals.min(axis=1)
-            ok = best < _BIG
-            if not ok.any():
-                continue
-            targets = alive[free][ok] | bw
-            dp[targets, w] = np.minimum(dp[targets, w], best[ok])
-    full = (1 << n) - 1
-    totals = dp[full] + cost[:, 0]
-    j = int(totals.min())
-    if j >= _BIG:
-        return None
-    last = int(totals.argmin())
-    seq = [last]
-    mask = full
-    cur = last
-    while mask != 1:
-        pmask = mask ^ (1 << cur)
-        prevs = dp[pmask] + cost[:, cur]
-        want = int(dp[mask, cur])
-        cand = np.flatnonzero(prevs == want)
-        if not cand.size:
-            raise CertificateError(f"min-jump table has no predecessor of vertex {cur + 1}")
-        cur = int(cand[0])
-        mask = pmask
-        seq.append(cur)
-    seq.reverse()
-    walk = canonical_cycle(GWalk("cycle", tuple(v + 1 for v in seq)))
-    if walk_length(d, walk) != n - j:
-        raise CertificateError(f"the min-jump cycle does not have {n - j} arcs")
-    return j, walk
+def _max_arc_walk(d: PartitionedDigraph, starts, close: bool) -> Optional[Tuple[int, GWalk]]:
+    """(max arcs, witness) over spanning legal sequences from one of `starts`
+    (0-based), or None; with `close` the one start is also the last step's
+    head, so the sequence is a cycle.
 
-
-def _max_arc_path_dp(d: PartitionedDigraph) -> Tuple[int, GWalk]:
-    """Maximum arc count over all generalized paths (any subset, any ends)."""
+    dp[mask, v] is the most arcs on a legal sequence that starts in `starts`,
+    visits exactly `mask` and ends at v; a cell is alive when it is >= 0.
+    Ties go to the smallest last vertex, then the smallest predecessor.
+    """
     n = d.n
-    cost = _step_cost_matrix(d)
-    gain = np.where(cost == 0, 1, np.where(cost == 1, 0, -_BIG)).astype(np.int32)
+    gain = _gain_matrix(d)
     layers = _popcount_layers(n)
     dp = np.full((1 << n, n), -_BIG, dtype=np.int32)
-    for v in range(n):
+    for v in starts:
         dp[1 << v, v] = 0
     for p in range(1, n):
         layer = layers[p].astype(np.intp)
-        rows = dp[layer]
-        alive = layer[(rows > -_BIG).any(axis=1)]
+        alive = layer[(dp[layer] >= 0).any(axis=1)]
         if alive.size == 0:
             continue
         block = dp[alive]
@@ -253,37 +200,37 @@ def _max_arc_path_dp(d: PartitionedDigraph) -> Tuple[int, GWalk]:
             free = (alive & bw) == 0
             if not free.any():
                 continue
-            vals = block[free] + gain[:, w][None, :]
-            best = vals.max(axis=1)
-            ok = best > -_BIG
+            best = (block[free] + gain[:, w][None, :]).max(axis=1)
+            ok = best >= 0
             if not ok.any():
                 continue
             targets = alive[free][ok] | bw
             dp[targets, w] = np.maximum(dp[targets, w], best[ok])
-    best_overall = int(dp.max())
     full = (1 << n) - 1
-    best_spanning = int(dp[full].max())
+    totals = dp[full] + gain[:, starts[0]] if close else dp[full]
+    arcs = int(totals.max())
+    if arcs < 0:
+        return None
     # a longest generalized path can always be grown to a spanning one
-    if best_spanning != best_overall:
+    if not close and arcs != int(dp.max()):
         raise CertificateError("no spanning generalized path attains the maximum arc count")
-    last = int(dp[full].argmax())
-    seq = [last]
-    mask, cur = full, last
-    while mask != (mask & -mask):
+    cur = int(totals.argmax())
+    seq, mask = [cur], full
+    while mask & (mask - 1):
         pmask = mask ^ (1 << cur)
-        prevs = dp[pmask] + gain[:, cur]
-        want = int(dp[mask, cur])
-        cand = np.flatnonzero(prevs == want)
+        cand = np.flatnonzero(dp[pmask] + gain[:, cur] == dp[mask, cur])
         if not cand.size:
             raise CertificateError(f"max-arc table has no predecessor of vertex {cur + 1}")
         cur = int(cand[0])
         mask = pmask
         seq.append(cur)
     seq.reverse()
-    walk = GWalk("path", tuple(v + 1 for v in seq))
-    if walk_length(d, walk) != best_overall:
-        raise CertificateError(f"the max-arc path does not have {best_overall} arcs")
-    return best_overall, walk
+    walk = GWalk("cycle" if close else "path", tuple(v + 1 for v in seq))
+    if close:
+        walk = canonical_cycle(walk)
+    if walk_length(d, walk) != arcs:
+        raise CertificateError(f"the max-arc {walk.kind} does not have {arcs} arcs")
+    return arcs, walk
 
 
 def oracle_longest_spanning_gcycle(
@@ -292,11 +239,7 @@ def oracle_longest_spanning_gcycle(
     """(max arcs, witness) over spanning generalized cycles, or None."""
     d.require_smd()
     _check_size(d.n, DEFAULT_CYCLE_ORACLE_THRESHOLD, threshold)
-    res = _min_jump_cycle_dp(d)
-    if res is None:
-        return None
-    jumps, walk = res
-    return d.n - jumps, walk
+    return _max_arc_walk(d, [0], close=True)
 
 
 def oracle_longest_gpath(
@@ -305,9 +248,7 @@ def oracle_longest_gpath(
     """(max arcs, witness) over all generalized paths of the instance."""
     d.require_smd()
     _check_size(d.n, DEFAULT_PATH_ORACLE_THRESHOLD, threshold)
-    if d.n == 1:
-        return 0, GWalk("path", (1,))
-    return _max_arc_path_dp(d)
+    return _max_arc_walk(d, range(d.n), close=False)
 
 
 # -- spanning generalized cycles of length >= n-k --------------------------

@@ -105,7 +105,8 @@ def _reinsert_ones(inst: ZOTSPInstance, d: PartitionedDigraph, walk: GWalk):
     for u, v in pairs:
         if (u, v) in d.arcs:
             continue
-        assert (u, v) in inst.ones, "jump pairs ride weight-1 clique arcs"
+        if (u, v) not in inst.ones:
+            raise CertificateError(f"the jump ({u},{v}) is not a weight-1 clique arc")
         cost += 1
     return seq, cost
 
@@ -116,7 +117,8 @@ def min_cost_ham_path(inst: ZOTSPInstance) -> Tuple[tuple, int]:
     d = to_smd(inst)
     walk = longest_gpath(d)
     seq, cost = _reinsert_ones(inst, d, walk)
-    assert cost == (inst.n - 1) - walk_length(d, walk)
+    if cost != (inst.n - 1) - walk_length(d, walk):
+        raise CertificateError(f"the path costs {cost}, not n-1 less its arcs")
     return seq, cost
 
 
@@ -136,7 +138,8 @@ def tour_cost(inst: ZOTSPInstance, mode: str, k: Optional[int] = None) -> dict:
         if cyc is None:
             return {"mode": mode, "status": "no-tour"}
         seq, cost = _reinsert_ones(inst, d, cyc)
-        assert cost == n - walk_length(d, cyc)
+        if cost != n - walk_length(d, cyc):
+            raise CertificateError(f"the tour costs {cost}, not n less its arcs")
         return {"mode": mode, "status": "ok", "cost": cost, "tour": seq}
     if mode == MODE_AT_MOST_K:
         if k is None or k < 0:
@@ -145,7 +148,8 @@ def tour_cost(inst: ZOTSPInstance, mode: str, k: Optional[int] = None) -> dict:
         if cyc is None:
             return {"mode": mode, "status": "no", "k": k}
         seq, cost = _reinsert_ones(inst, d, cyc)
-        assert cost <= k
+        if cost > k:
+            raise CertificateError(f"the tour costs {cost}, more than {k}")
         return {"mode": mode, "status": "yes", "k": k, "cost": cost, "tour": seq}
     if mode == MODE_STRONG_BOUND:
         cyc, cert = spanning_gcycle_strong(d)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .digraph import PartitionedDigraph
-from .errors import AugmentedInput, DuplicateVertex, HypothesisUnmet, IllegalPair
+from .errors import AugmentedInput, CertificateError, DuplicateVertex, HypothesisUnmet, IllegalPair
 
 REAL = "real"
 JUMP = "jump"
@@ -195,7 +195,8 @@ def insert_by_partners(d: PartitionedDigraph, piece: GWalk, host: GWalk) -> GWal
         current = insert_piece(current, p.index, tuple(remaining[:take]))
         remaining = remaining[take:]
     out_len = walk_length(d, current)
-    assert out_len >= base_total + 1, "partner insertion must gain an arc"
+    if out_len < base_total + 1:
+        raise CertificateError("partner insertion must gain an arc")
     return current
 
 

@@ -1,6 +1,8 @@
 import pytest
 
 from gmpd.construct import (
+    _attach_by_path,
+    _real_cycle_among,
     absorb_to_spanning,
     good_gcycle_length_c,
     good_gpath_length_c_minus_1,
@@ -223,3 +225,54 @@ def test_grow_factor_random_strong():
         assert grown.vertex_set() == set(d.vertices())
         assert grown.arc_count(d) >= walk_length(d, seedling)
         assert grown.arc_count(d) <= c_f(d)
+
+
+# exact outputs of the breadth-first searches behind absorption and factor
+# growth, so the order in which they scan neighbours stays fixed
+def test_attach_by_path_into_the_cycle():
+    # vertex 5 has no arc into the 3-cycle: a path from 5 enters it at 4
+    d = random_smd_digraph(8, 4, 0.4, 107)
+    assert not any((5, x) in d.arcs for x in (1, 2, 4))
+    out = _attach_by_path(d, GWalk("cycle", (1, 2, 4)), 5)
+    assert out.seq == (4, 1, 2, 5, 3, 6)
+    validate_walk(d, out)
+
+
+def test_attach_by_path_out_of_the_cycle():
+    # no arc from the 3-cycle reaches vertex 8: a path from 5 leads to it
+    d = random_smd_digraph(8, 4, 0.4, 331)
+    assert not any((x, 8) in d.arcs for x in (1, 2, 5))
+    out = _attach_by_path(d, GWalk("cycle", (1, 2, 5)), 8)
+    assert out.seq == (2, 5, 1, 3, 7, 8)
+    validate_walk(d, out)
+
+
+def test_attach_by_path_both_directions_declines():
+    d = random_smd_digraph(8, 4, 0.4, 107)
+    c = GWalk("cycle", (1, 2, 4))
+    both = [v for v in (3, 5, 6, 7, 8)
+            if any((v, x) in d.arcs for x in c.seq) and any((x, v) in d.arcs for x in c.seq)]
+    assert both and all(_attach_by_path(d, c, v) is None for v in both)
+
+
+def test_real_cycle_among_uncovered():
+    d = random_smd_digraph(8, 4, 0.4, 233)
+    out = _real_cycle_among(d, [1, 2, 3, 4, 5, 6])
+    assert out.seq == (1, 2, 6, 5)
+    assert all((u, v) in d.arcs for u, v in out.pairs())
+    assert _real_cycle_among(d, [1]) is None
+
+
+@pytest.mark.parametrize("part, arcs, seedling", [
+    ([1, 2, 3, 4], [(1, 4), (2, 1), (2, 3), (3, 1), (3, 2), (4, 2), (4, 3)], (2, 3)),
+    ([1, 2, 3, 3], [(1, 3), (1, 4), (2, 1), (3, 2), (4, 2)], (3, 4)),
+])
+def test_grow_factor_stalled_growth_falls_back_to_the_max_factor(part, arcs, seedling):
+    # no uncovered vertex inserts into the seedling, and the uncovered rest
+    # holds neither a real cycle nor two vertices of one partite set
+    d = PartitionedDigraph(part, arcs)
+    assert is_strong(d)
+    f0 = GFactor((GWalk("cycle", seedling),))
+    grown = grow_factor(d, f0)
+    assert grown == max_arc_gcycle_factor(d)
+    assert grown.arc_count(d) == c_f(d) >= f0.arc_count(d)

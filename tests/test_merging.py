@@ -140,10 +140,11 @@ def test_corrupt_merge_raises_certificate_error(monkeypatch, tmp_path):
         spanning_gcycle_strong(d)
     path = tmp_path / "fig2.gmpd"
     path.write_text(emit_instance(inst))
-    assert main(["spanning-gcycle", "--strong", str(path)]) == 2
+    assert main(["spanning-gcycle", str(path)]) == 2
 
 
-@pytest.mark.parametrize("module", ["factor", "merging", "irreducible", "search"])
+@pytest.mark.parametrize("module", ["factor", "merging", "irreducible", "search",
+                                    "construct", "tsp", "walks"])
 def test_certificates_are_not_asserts(module):
     # asserts vanish under python -O; certificates must raise a package error
     source = Path(gmpd.__file__).with_name(f"{module}.py")

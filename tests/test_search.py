@@ -77,6 +77,39 @@ def test_oracle_witnesses_validate():
         assert walk_length(d, walk) == arcs
 
 
+# exact witnesses of both oracles on seeded instances: any change to the
+# subset-DP kernel must keep breaking ties the same way
+ORACLE_WITNESSES = {
+    "fig1": (lambda: fig1_instance().digraph,
+             (5, (1, 3, 5, 2, 4)), (4, (3, 5, 2, 4, 1))),
+    "fig2": (lambda: fig2().digraph,
+             (14, (1, 10, 3, 11, 9, 5, 15, 7, 6, 14, 13, 12, 4, 16, 8, 2)),
+             (15, (9, 1, 10, 5, 15, 7, 6, 14, 13, 12, 11, 3, 2, 4, 16, 8))),
+    "noclose_2_3": (lambda: noclose(2, 3).digraph,
+                    (6, (1, 6, 5, 8, 3, 4, 7, 2)), (7, (3, 6, 8, 2, 5, 7, 1, 4))),
+    "random_9_3": (lambda: random_smd_digraph(9, 3, 0.35, 7),
+                   (8, (1, 9, 8, 7, 5, 4, 6, 3, 2)), (8, (7, 9, 4, 5, 6, 8, 3, 2, 1))),
+    "random_8_2": (lambda: random_smd_digraph(8, 2, 0.4, 12),
+                   (6, (1, 6, 8, 7, 4, 5, 3, 2)), (6, (7, 1, 6, 4, 5, 8, 3, 2))),
+    "random_10_5": (lambda: random_smd_digraph(10, 5, 0.25, 41),
+                    (10, (1, 9, 10, 7, 8, 6, 5, 2, 4, 3)),
+                    (9, (9, 10, 7, 8, 6, 5, 2, 4, 3, 1))),
+    "transitive_5": (lambda: PartitionedDigraph(
+                         [1, 2, 3, 4, 5], [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]),
+                     None, (4, (1, 2, 3, 4, 5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WITNESSES))
+def test_oracle_witnesses_pinned(name):
+    build, want_cycle, want_path = ORACLE_WITNESSES[name]
+    d = build()
+    got = oracle_longest_spanning_gcycle(d)
+    assert (None if got is None else (got[0], got[1].seq)) == want_cycle
+    arcs, walk = oracle_longest_gpath(d)
+    assert (arcs, walk.seq) == want_path
+
+
 def test_complete_digraph_oracles():
     n = 4
     arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
