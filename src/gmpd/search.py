@@ -224,10 +224,8 @@ def _max_arc_walk(d: PartitionedDigraph, starts, close: bool) -> Optional[Tuple[
         cur = int(cand[0])
         mask = pmask
         seq.append(cur)
-    seq.reverse()
-    walk = GWalk("cycle" if close else "path", tuple(v + 1 for v in seq))
-    if close:
-        walk = canonical_cycle(walk)
+    seq = tuple(v + 1 for v in reversed(seq))
+    walk = canonical_cycle(GWalk("cycle", seq)) if close else GWalk("path", seq)
     if walk_length(d, walk) != arcs:
         raise CertificateError(f"the max-arc {walk.kind} does not have {arcs} arcs")
     return arcs, walk
