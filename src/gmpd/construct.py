@@ -13,6 +13,7 @@ from .walks import (
     GWalk,
     canonical_cycle,
     classify_pair,
+    first_fit,
     insert_piece,
     is_good,
     is_spanning,
@@ -207,25 +208,11 @@ def merge_path_cycle(d: PartitionedDigraph, p: GWalk, c: GWalk) -> GWalk:
     if set(p.seq) & set(c.seq):
         raise ValueError("walks must be vertex-disjoint")
     target = walk_length(d, p) + walk_length(d, c)
-    part = d.part_vector
-    arcs = d.arcs
-
-    def valid_len(seq) -> Optional[int]:
-        length = 0
-        for i in range(len(seq) - 1):
-            u, v = seq[i], seq[i + 1]
-            if (u, v) in arcs:
-                length += 1
-            elif part[u - 1] != part[v - 1]:
-                return None
-        return length
-
-    for cand in _splice_candidates(p.seq, c.seq):
-        length = valid_len(cand)
-        if length is not None and length >= target:
-            out = GWalk("path", cand)
-            validate_walk(d, out)
-            return out
+    cand = first_fit(d, _splice_candidates(p.seq, c.seq), target, closed=False)
+    if cand is not None:
+        out = GWalk("path", cand)
+        validate_walk(d, out)
+        return out
     sub, old = induce(d, set(p.seq) | set(c.seq))
     arcs_best, walk = oracle_longest_gpath(sub)
     if arcs_best < target or len(walk.seq) != sub.n:
@@ -316,7 +303,6 @@ def absorb_to_spanning(d: PartitionedDigraph, c: GWalk) -> GWalk:
     d.require_smd()
     if not is_strong(d):
         raise NotStrong("absorption needs a strong instance")
-    validate_walk(d, c)
     current = c
     length = walk_length(d, current)
     while not is_spanning(d, current):

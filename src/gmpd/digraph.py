@@ -91,15 +91,8 @@ class PartitionedDigraph:
         """In-neighbours of v in ascending order."""
         return _vertices_of(self.in_masks[v - 1])
 
-    def is_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
     def same_part(self, u: int, v: int) -> bool:
         return self._part[u - 1] == self._part[v - 1]
-
-    def is_semicomplete_digraph(self) -> bool:
-        """True when every partite set is a singleton and the instance is an SMD."""
-        return self.c == self.n and self.is_smd()
 
     def is_smd(self) -> bool:
         if self._smd_cache is None:

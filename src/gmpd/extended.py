@@ -4,7 +4,7 @@ digraphs, where same-partite vertices share all in- and out-neighbours."""
 from typing import List, Optional, Tuple
 
 from .digraph import PartitionedDigraph, is_strong, validate
-from .errors import NoSharedPartite, NotExtended, OneDirectional
+from .errors import CertificateError, NoSharedPartite, NotExtended, OneDirectional
 from .factor import max_arc_gcycle_factor
 from .merging import certified_merge_cycles
 from .walks import GWalk, canonical_cycle, validate_walk, walk_length
@@ -40,25 +40,24 @@ def merge_same_partite(d: PartitionedDigraph, c1: GWalk, c2: GWalk) -> GWalk:
         if walk_length(d, trivial) == 0:
             v_part = d.part(trivial.seq[0])
             k = next(i for i, v in enumerate(other.seq) if d.part(v) == v_part)
-            merged = GWalk(
-                "cycle", other.seq[: k + 1] + trivial.seq + other.seq[k + 1:]
-            )
-            assert walk_length(d, merged) == target
-            return canonical_cycle(merged)
-    part = shared[0]
-    r = next(
-        i
-        for i, v in enumerate(c1.seq)
-        if d.part(v) == part and (c1.seq[i - 1], v) in d.arcs
-    )
-    s = next(
-        j
-        for j, v in enumerate(c2.seq)
-        if d.part(v) == part and (c2.seq[j - 1], v) in d.arcs
-    )
-    # swap entry points of the two similar vertices
-    merged = GWalk("cycle", _rotate_to(c1.seq, r) + _rotate_to(c2.seq, s))
-    assert walk_length(d, merged) == target
+            merged = GWalk("cycle", other.seq[: k + 1] + trivial.seq + other.seq[k + 1:])
+            break
+    else:
+        part = shared[0]
+        r = next(
+            i
+            for i, v in enumerate(c1.seq)
+            if d.part(v) == part and (c1.seq[i - 1], v) in d.arcs
+        )
+        s = next(
+            j
+            for j, v in enumerate(c2.seq)
+            if d.part(v) == part and (c2.seq[j - 1], v) in d.arcs
+        )
+        # swap entry points of the two similar vertices
+        merged = GWalk("cycle", _rotate_to(c1.seq, r) + _rotate_to(c2.seq, s))
+    if walk_length(d, merged) != target:
+        raise CertificateError(f"the same-partite merge does not keep {target} arcs")
     return canonical_cycle(merged)
 
 
@@ -96,12 +95,14 @@ def merge_bidirectional(d: PartitionedDigraph, c1: GWalk, c2: GWalk) -> GWalk:
     for a, b in ((c1, c2), (c2, c1)):
         merged = dominating_splice(a, b)
         if merged is not None:
-            assert walk_length(d, merged) >= target
+            if walk_length(d, merged) < target:
+                raise CertificateError(f"the dominating splice keeps fewer than {target} arcs")
             return canonical_cycle(merged)
     # both directions everywhere: every vertex of one cycle has a partner on
     # the other, so partner insertion (or a wider splice search) applies
     merged = certified_merge_cycles(d, c1, c2, target)
-    assert merged is not None, "bidirectionally linked cycles always merge"
+    if merged is None:
+        raise CertificateError("bidirectionally linked cycles always merge")
     return merged
 
 
@@ -153,7 +154,8 @@ def spanning_gcycle_extsd(d: PartitionedDigraph) -> Optional[GWalk]:
     if len(cycles) == 1:
         result = canonical_cycle(cycles[0])
     else:
-        assert _all_pairs_one_directional(d, cycles)
+        if not _all_pairs_one_directional(d, cycles):
+            raise CertificateError("the unmerged cycles are not pairwise one-directional")
         k = len(cycles)
         arcs = set()
         for i in range(k):
@@ -170,7 +172,7 @@ def spanning_gcycle_extsd(d: PartitionedDigraph) -> Optional[GWalk]:
         for idx in order.seq:
             seq = seq + cycles[idx - 1].seq
         result = canonical_cycle(GWalk("cycle", seq))
-    validate_walk(d, result)
     got = walk_length(d, result)
-    assert got == cf and len(result.seq) == d.n
+    if got != cf or len(result.seq) != d.n:
+        raise CertificateError(f"the spanning cycle has {got} arcs, not the factor's {cf}")
     return result

@@ -13,6 +13,7 @@ explicit certificate: a permutation of tight pairs under feasible duals
 whose total is the solve's optimum; otherwise CertificateError is raised.
 """
 
+from itertools import chain
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -202,21 +203,12 @@ def _succ_cycles(succ: List[int]) -> List[List[int]]:
 def completion_costs(d: PartitionedDigraph) -> List[List[int]]:
     """Square cost grid of the completion; INF marks forbidden pairs (the
     diagonal always)."""
-    n = d.n
-    grid = []
-    for u in range(1, n + 1):
-        row = []
-        for v in range(1, n + 1):
-            if u == v:
-                row.append(INF)
-            elif (u, v) in d.arcs:
-                row.append(0)
-            elif d.same_part(u, v):
-                row.append(1)
-            else:
-                row.append(INF)
-        grid.append(row)
-    return grid
+    part = np.asarray(d.part_vector)
+    grid = np.where(part[:, None] == part[None, :], 1, INF)
+    ends = np.fromiter(chain.from_iterable(d.arcs), dtype=np.int64, count=2 * len(d.arcs)) - 1
+    grid[ends[0::2], ends[1::2]] = 0
+    np.fill_diagonal(grid, INF)
+    return grid.tolist()
 
 
 def max_arc_gcycle_factor(d: PartitionedDigraph) -> GFactor:

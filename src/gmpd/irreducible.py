@@ -14,7 +14,6 @@ from .walks import (
     GWalk,
     canonical_cycle,
     validate_factor,
-    validate_walk,
     walk_length,
 )
 
@@ -77,8 +76,6 @@ def merge_pair_no_loss(
     Pairs without one-way dominance always admit such a merge; dominated
     pairs usually do not, and the certified search settles them exactly."""
     d.require_smd()
-    validate_walk(d, c1)
-    validate_walk(d, c2)
     target = walk_length(d, c1) + walk_length(d, c2)
     merged = certified_merge_cycles(d, c1, c2, target)
     rel = relation(d, c1, c2)
@@ -300,7 +297,6 @@ def spanning_gcycle_strong(
         ) if rest else None
         cycles = list(refolded.cycles) if refolded else [merged]
     result = canonical_cycle(cycles[0])
-    validate_walk(d, result)
     length = walk_length(d, result)
     if length < lower:
         rescue = certified_multi_merge(d, irr.cycles, lower)
@@ -374,9 +370,8 @@ def bipartite_factor_structure(
         heads.append(rotated[0])
         seq = seq + rotated
     cyc = canonical_cycle(GWalk("cycle", seq))
-    validate_walk(d, cyc)
-    total = sum(walk_length(d, c) for c in cycles)
     got = walk_length(d, cyc)
+    total = sum(walk_length(d, c) for c in cycles)
     if got < total - 2:
         violations.append(f"constructed cycle lost {total - got} arcs")
     return BipartiteFactorReport(2, cyc, violations)

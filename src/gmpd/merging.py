@@ -2,32 +2,28 @@
 irreducible-factor engines.
 
 Candidates are splice shapes: the two cycles interleaved as one segment each
-(two junctions) or two segments each (four junctions).  Every candidate is
-checked by the walk validator and an arc-count floor before it is accepted.
-When no shape fits, a no-loss merge (floor at least the union's size) needs a
-Hamiltonian cycle of the induced union: a union that is not strong has none
-at any size, and a strong one small enough is settled by the exact
-Hamiltonian search.  A merge that may lose arcs falls back to the exact
-longest-cycle search on small unions."""
+(two junctions) or two segments each (four junctions).  The first candidate
+legal with at least the floor's arcs (``walks.first_fit``) is certified by
+the walk validator.  When no shape fits, a no-loss merge (floor at least the
+union's size) needs a Hamiltonian cycle of the induced union: a union that is
+not strong has none at any size, and a strong one small enough is settled by
+the exact Hamiltonian search.  A merge that may lose arcs falls back to the
+exact longest-cycle search on small unions."""
 
 from typing import Iterator, Optional
 
 from .digraph import PartitionedDigraph, induce, is_strong
 from .errors import CertificateError, HypothesisUnmet, TooLarge
-from .walks import GWalk, canonical_cycle, insert_by_partners, open_cycle, validate_walk, walk_length
+from .walks import GWalk, canonical_cycle, first_fit, insert_by_partners, open_cycle, walk_length
 
 DP_FALLBACK_CAP = 18
 
 
-def _rot(seq: tuple, i: int) -> tuple:
-    return seq[i:] + seq[:i]
-
-
 def _interleave_two(a: tuple, b: tuple) -> Iterator[tuple]:
     for i in range(len(a)):
-        ra = _rot(a, i)
+        ra = a[i:] + a[:i]
         for j in range(len(b)):
-            yield ra + _rot(b, j)
+            yield ra + b[j:] + b[:j]
 
 
 def _interleave_four(a: tuple, b: tuple) -> Iterator[tuple]:
@@ -44,20 +40,6 @@ def _interleave_four(a: tuple, b: tuple) -> Iterator[tuple]:
                     yield a1 + b2 + a2 + b1
 
 
-def _cycle_len_if_valid(d: PartitionedDigraph, seq: tuple) -> Optional[int]:
-    part = d.part_vector
-    arcs = d.arcs
-    length = 0
-    m = len(seq)
-    for i in range(m):
-        u, v = seq[i], seq[(i + 1) % m]
-        if (u, v) in arcs:
-            length += 1
-        elif part[u - 1] != part[v - 1]:
-            return None
-    return length
-
-
 def certified_merge_cycles(
     d: PartitionedDigraph, c1: GWalk, c2: GWalk, floor: int
 ) -> Optional[GWalk]:
@@ -65,12 +47,7 @@ def certified_merge_cycles(
     arcs, or None when provably none exists (exact for small unions)."""
     if set(c1.seq) & set(c2.seq):
         raise ValueError("cycles must be vertex-disjoint")
-    best = None
-    for cand in _interleave_two(c1.seq, c2.seq):
-        length = _cycle_len_if_valid(d, cand)
-        if length is not None and length >= floor:
-            best = cand
-            break
+    best = first_fit(d, _interleave_two(c1.seq, c2.seq), floor, closed=True)
     if best is None:
         for host, piece_cycle in ((c1, c2), (c2, c1)):
             for i in range(len(piece_cycle.seq)):
@@ -85,11 +62,7 @@ def certified_merge_cycles(
             if best is not None:
                 break
     if best is None:
-        for cand in _interleave_four(c1.seq, c2.seq):
-            length = _cycle_len_if_valid(d, cand)
-            if length is not None and length >= floor:
-                best = cand
-                break
+        best = first_fit(d, _interleave_four(c1.seq, c2.seq), floor, closed=True)
     if best is None:
         return _dp_merge(d, set(c1.seq) | set(c2.seq), floor)
     return _certified(d, best, floor)
@@ -97,7 +70,6 @@ def certified_merge_cycles(
 
 def _certified(d: PartitionedDigraph, seq: tuple, floor: int) -> GWalk:
     walk = canonical_cycle(GWalk("cycle", seq))
-    validate_walk(d, walk)
     length = walk_length(d, walk)
     if length < floor:
         raise CertificateError(f"merged cycle has {length} arcs, below the floor {floor}")

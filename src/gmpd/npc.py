@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .digraph import PartitionedDigraph
-from .errors import ParseError, TooLarge
-from .walks import GWalk, canonical_cycle
+from .errors import CertificateError, ParseError, TooLarge
+from .walks import GWalk, arc_count, canonical_cycle
 
 DEFAULT_WITNESS_CAP = 34
 
@@ -394,7 +394,10 @@ def _dfs_witness(
             for w in children:
                 if w == root:
                     if done(st, v, root):
-                        return canonical_cycle(GWalk("cycle", tuple(path)))
+                        walk = canonical_cycle(GWalk("cycle", tuple(path)))
+                        if arc_count(d, walk.seq, closed=True) != len(walk.seq):
+                            raise CertificateError("the witness cycle uses a non-arc")
+                        return walk
                     continue
                 if w in path:
                     continue
@@ -452,8 +455,8 @@ def witness_np1(
         counts = {i: 0 for i in full_sets}
         for v in walk.seq:
             counts[d.part(v)] += 1
-        assert all(1 <= counts[i] < sizes[i - 1] for i in full_sets)
-        assert all((u, v) in d.arcs for u, v in walk.pairs())
+        if not all(1 <= counts[i] < sizes[i - 1] for i in full_sets):
+            raise CertificateError("the witness misses or exhausts a partite set")
     return walk
 
 
@@ -484,9 +487,6 @@ def witness_np2(
         return mask == full and (last, root) in d.arcs
 
     walk = _dfs_witness(d, roots, init_state, can_extend, done)
-    if walk is not None:
-        assert len(walk.seq) == d.c
-        parts = [d.part(v) for v in walk.seq]
-        assert len(set(parts)) == d.c
-        assert all((u, v) in d.arcs for u, v in walk.pairs())
+    if walk is not None and (len(walk.seq) != d.c or len({d.part(v) for v in walk.seq}) != d.c):
+        raise CertificateError("the witness does not meet every partite set exactly once")
     return walk

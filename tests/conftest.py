@@ -2,9 +2,10 @@
 hypothesis settings profile.
 
 The brute-force routines here enumerate permutations and subsets directly,
-and the re-solve lex-min, the 0-1 BFS and the unpruned terminal-set
-enumeration are the plain algorithms the packaged engines replaced; they
-exist to validate the packaged engines and must stay independent of them."""
+and the re-solve lex-min, the 0-1 BFS, the unpruned terminal-set enumeration
+and the per-pair completion grid are the plain algorithms the packaged
+engines replaced; they exist to validate the packaged engines and must stay
+independent of them."""
 
 from collections import deque
 from itertools import combinations, permutations
@@ -152,6 +153,25 @@ def reference_jump_distances(d, source):
                 dist[v] = du + 1
                 dq.append(v)
     return dist
+
+
+def reference_completion_costs(d):
+    """Completion cost grid pair by pair: 0 for an arc, 1 for a same-partite
+    jump, 10**9 for a forbidden pair and on the diagonal."""
+    grid = []
+    for u in range(1, d.n + 1):
+        row = []
+        for v in range(1, d.n + 1):
+            if u == v:
+                row.append(10 ** 9)
+            elif (u, v) in d.arcs:
+                row.append(0)
+            elif d.part(u) == d.part(v):
+                row.append(1)
+            else:
+                row.append(10 ** 9)
+        grid.append(row)
+    return grid
 
 
 def reference_spanning_gcycle_at_least(d, k):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gmpd
 from gmpd.cli import main
 from gmpd.fileformat import emit_instance, parse_instance
 from gmpd.errors import ParseError
@@ -12,6 +13,7 @@ from gmpd.generators import fig1, fig2, generate, noclose
 from gmpd.walks import parse_walk, validate_walk
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(args, capsys):
@@ -207,6 +209,20 @@ def test_tsp_cli_roundtrip(capsys, tmp_path):
     assert lines["cost"] == "0"
     code, out, _ = run_cli(["tsp", "tour", "--mode", "at-most-k", "--k", "0", str(p)], capsys)
     assert code == 0
+
+
+def test_golden_calls_match_recorded_digests(monkeypatch):
+    # the benchmark's golden gate in-process: each golden call's exit code,
+    # stdout and stderr hash to the digest recorded in perfbench
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import desk
+
+    recorded = json.loads((PERFBENCH / "golden_digests.json").read_text())
+    got = {}
+    for argv, *_ in desk.GOLDEN_CALLS:
+        full = [str(PERFBENCH.parent / a) if a.startswith(desk.GOLDEN) else a for a in argv]
+        got[" ".join(argv)] = desk.digest(desk.call_cli(gmpd, full))
+    assert got == recorded
 
 
 def test_console_script_installed():

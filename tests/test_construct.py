@@ -3,6 +3,7 @@ import pytest
 from gmpd.construct import (
     _attach_by_path,
     _real_cycle_among,
+    _splice_candidates,
     absorb_to_spanning,
     good_gcycle_length_c,
     good_gpath_length_c_minus_1,
@@ -147,6 +148,26 @@ def test_merge_path_cycle_trivial_cycle(fig1):
     q = merge_path_cycle(fig1, p, c)
     assert set(q.seq) == {1, 2, 3, 4, 5}
     assert walk_length(fig1, q) >= 2
+
+
+# one pair per shape family of _splice_candidates, in scan order: the cycle
+# opened then the path, the path then the cycle, the cycle inside the path,
+# and one cycle vertex moved in front of a path vertex; witnesses recorded
+# before the splice scan moved onto walks.first_fit
+@pytest.mark.parametrize("family, spec, p_seq, c_seq, witness", [
+    (1, (6, 4, 0.3, 1), (2, 5, 6), (1, 4, 3), (4, 3, 1, 2, 5, 6)),
+    (2, (5, 3, 0.3, 18), (1,), (2, 3, 4, 5), (1, 2, 3, 4, 5)),
+    (3, (5, 3, 0.3, 45), (4, 3), (1, 2, 5), (4, 5, 1, 2, 3)),
+    (4, (5, 3, 0.2, 3097), (4, 1, 5), (2, 3), (4, 2, 1, 3, 5)),
+])
+def test_merge_path_cycle_witness_pinned(family, spec, p_seq, c_seq, witness):
+    d = random_smd_digraph(*spec)
+    got = merge_path_cycle(d, GWalk("path", p_seq), GWalk("cycle", c_seq))
+    assert got == GWalk("path", witness)
+    s, t = len(p_seq), len(c_seq)
+    starts = [0, t, 2 * t, 2 * t + (s - 1) * t]
+    first = list(_splice_candidates(p_seq, c_seq)).index(witness)
+    assert starts[family - 1] <= first < (starts + [float("inf")])[family]
 
 
 def test_longest_gpath_fig1(fig1):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmpd import factor
 from gmpd.cli import main
@@ -22,6 +22,7 @@ from conftest import (
     brute_longest_gpath,
     brute_min_assignment,
     random_smd_digraph,
+    reference_completion_costs,
     reference_lexmin_assignment,
     scipy_min_assignment,
 )
@@ -143,6 +144,17 @@ def test_path_cycle_total_matches_brute_force():
         p, rem = max_arc_path_cycle_subdigraph(d)
         total = walk_length(d, p) + rem.arc_count(d)
         assert total == brute_longest_gpath(d)
+
+
+@settings(max_examples=40)
+@given(st.builds(random_smd_digraph, st.integers(1, 40), st.integers(1, 5),
+                 st.sampled_from([0.0, 0.3, 0.7]), st.integers(0, 10 ** 6)))
+@example(PartitionedDigraph([1], []))
+@example(PartitionedDigraph([1, 2, 1], [(1, 2)]))   # (2, 1), (2, 3) and (3, 2) are forbidden
+def test_completion_costs_match_the_pair_loop(d):
+    got = completion_costs(d)
+    assert got == reference_completion_costs(d)
+    assert all(type(x) is int for row in got for x in row)
 
 
 @given(smd)

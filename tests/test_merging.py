@@ -144,10 +144,34 @@ def test_corrupt_merge_raises_certificate_error(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("module", ["factor", "merging", "irreducible", "search",
-                                    "construct", "tsp", "walks"])
+                                    "construct", "tsp", "walks", "extended", "npc"])
 def test_certificates_are_not_asserts(module):
     # asserts vanish under python -O; certificates must raise a package error
     source = Path(gmpd.__file__).with_name(f"{module}.py")
     tree = ast.parse(source.read_text(), filename=str(source))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{source.name} has assert statements on lines {lines}"
+
+
+# one pair won by each stage of certified_merge_cycles, and one with no merge;
+# witnesses recorded before the splice scans moved onto walks.first_fit
+@pytest.mark.parametrize("stage, spec, c1, c2, floor, witness", [
+    ("two_junction", (8, 3, 0.7, 0), (4, 3), (6, 7, 2, 1, 8, 5), 4, (1, 8, 5, 4, 3, 6, 7, 2)),
+    ("two_junction", (7, 2, 0.5, 0), (4, 2, 3), (7, 1, 5, 6), 4, (1, 4, 2, 3, 5, 6, 7)),
+    ("partner", (7, 2, 0.5, 69), (3, 2), (4, 5, 1, 6, 7), 5, (1, 2, 6, 7, 3, 4, 5)),
+    ("four_junction", (6, 2, 0.3, 185), (5, 2, 3), (4, 1, 6), 5, (1, 2, 6, 3, 5, 4)),
+    ("exact", (8, 4, 0.3, 38), (7, 4, 8, 3), (2, 6, 5, 1), 7, (1, 2, 8, 7, 5, 6, 3, 4)),
+    ("exact", (4, 2, 0.3, 44), (2, 3), (1, 4), 3, None),
+])
+def test_merge_cycles_witness_pinned(monkeypatch, stage, spec, c1, c2, floor, witness):
+    reached = []
+    for name, label in (("insert_by_partners", "partner"), ("_interleave_four", "four_junction"),
+                        ("_dp_merge", "exact")):
+        def spy(*args, _fn=getattr(merging, name), _label=label):
+            reached.append(_label)
+            return _fn(*args)
+        monkeypatch.setattr(merging, name, spy)
+    d = random_smd_digraph(*spec)
+    got = merging.certified_merge_cycles(d, GWalk("cycle", c1), GWalk("cycle", c2), floor)
+    assert got == (None if witness is None else GWalk("cycle", witness))
+    assert (reached or ["two_junction"])[-1] == stage

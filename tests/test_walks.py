@@ -1,14 +1,17 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gmpd.digraph import PartitionedDigraph
 from gmpd.errors import DuplicateVertex, HypothesisUnmet, IllegalPair
 from gmpd.walks import (
     GFactor,
     GWalk,
+    arc_count,
     canonical_cycle,
     cycle,
     decompose_segments,
     find_partner,
+    first_fit,
     insert_by_partners,
     is_good,
     is_spanning,
@@ -19,7 +22,7 @@ from gmpd.walks import (
     walk_length,
 )
 
-from conftest import random_smd_digraph, step_ok
+from conftest import fig1_digraph, random_smd_digraph, step_ok
 
 
 def test_fig1_hamiltonian_cycle_all_real(fig1):
@@ -202,3 +205,40 @@ def test_factor_arc_count(fig1):
     d = PartitionedDigraph([1, 2, 1, 2], [(1, 2), (2, 1), (3, 4), (4, 3), (1, 4), (3, 2)])
     two = GFactor((cycle(1, 2), cycle(3, 4)))
     assert two.arc_count(d) == 4
+
+
+@st.composite
+def walks_on_smds(draw):
+    """An instance and a walk on distinct vertices of it, legal or not."""
+    d = draw(st.builds(random_smd_digraph, st.integers(2, 12), st.integers(1, 4),
+                       st.sampled_from([0.0, 0.3, 0.7]), st.integers(0, 10 ** 6)))
+    kind = draw(st.sampled_from(["path", "cycle"]))
+    order = draw(st.permutations(list(d.vertices())))
+    drop = draw(st.integers(0, d.n - (1 if kind == "path" else 2)))
+    return d, GWalk(kind, tuple(order[drop:]))
+
+
+@settings(max_examples=200)
+@given(walks_on_smds())
+@example((PartitionedDigraph([1], []), path(1)))
+@example((fig1_digraph(), path(3)))
+@example((fig1_digraph(), cycle(4, 5)))
+@example((PartitionedDigraph([1, 2], [(1, 2), (2, 1)]), cycle(1, 2)))
+@example((fig1_digraph(), path(1, 2, 3)))
+@example((fig1_digraph(), cycle(1, 2, 3)))
+def test_arc_count_matches_walk_length(case):
+    d, w = case
+    try:
+        expected = walk_length(d, w)
+    except IllegalPair:
+        expected = None
+    assert arc_count(d, w.seq, closed=w.kind == "cycle") == expected
+
+
+def test_first_fit_takes_the_first_legal_candidate_at_the_floor(fig1):
+    cands = [(3, 4), (1, 2, 3), (3, 5, 2, 4, 1)]
+    assert first_fit(fig1, cands, 2, closed=False) == (1, 2, 3)
+    assert first_fit(fig1, cands, 3, closed=False) == (3, 5, 2, 4, 1)
+    # closed, (1, 2, 3) fails on its wrap pair (3, 1)
+    assert first_fit(fig1, cands, 0, closed=True) == (3, 5, 2, 4, 1)
+    assert first_fit(fig1, cands, 6, closed=True) is None
