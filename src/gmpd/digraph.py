@@ -219,8 +219,9 @@ def strong_components(d: PartitionedDigraph) -> list:
     return components
 
 
-def _closure(masks, start: int) -> int:
-    """Bitmask of the vertices reachable from bit `start` along `masks`."""
+def _closure(masks, start: int, within: int = -1) -> int:
+    """Bitmask of the vertices reachable from bit `start` along `masks`,
+    stepping only onto vertices whose bit is set in `within`."""
     seen = frontier = 1 << start
     while frontier:
         step = 0
@@ -228,15 +229,23 @@ def _closure(masks, start: int) -> int:
             low = frontier & -frontier
             step |= masks[low.bit_length() - 1]
             frontier ^= low
-        frontier = step & ~seen
+        frontier = step & within & ~seen
         seen |= frontier
     return seen
 
 
+def is_strong_within(d: PartitionedDigraph, mask: int) -> bool:
+    """Whether D[S] is strong, for a non-empty vertex set S given as a
+    bitmask (bit v-1 for vertex v): its lowest vertex reaches every vertex
+    of S, and is reached from each, without leaving S."""
+    start = (mask & -mask).bit_length() - 1
+    return (_closure(d.out_masks, start, mask) == mask
+            and _closure(d.in_masks, start, mask) == mask)
+
+
 def is_strong(d: PartitionedDigraph) -> bool:
     """Every vertex reaches vertex 1 and is reached from it."""
-    full = (1 << d.n) - 1
-    return _closure(d.out_masks, 0) == full and _closure(d.in_masks, 0) == full
+    return is_strong_within(d, (1 << d.n) - 1)
 
 
 def is_k_strong(d: PartitionedDigraph, k: int) -> bool:

@@ -1,53 +1,116 @@
 """Certified cycle-merge search shared by the extended-digraph and
 irreducible-factor engines.
 
-Candidates are splice shapes: the two cycles interleaved as one segment each
-(two junctions) or two segments each (four junctions).  The first candidate
-legal with at least the floor's arcs (``walks.first_fit``) is certified by
-the walk validator.  When no shape fits, a no-loss merge (floor at least the
-union's size) needs a Hamiltonian cycle of the induced union: a union that is
-not strong has none at any size, and a strong one small enough is settled by
-the exact Hamiltonian search.  A merge that may lose arcs falls back to the
-exact longest-cycle search on small unions."""
+Both input cycles are validated first.  A no-loss merge (floor at least the
+union's size) must be a Hamiltonian cycle of real arcs on the induced union,
+so it is answered "no" before any scan when the floor exceeds the union's
+size or the union is not strong.  Otherwise candidates are splice shapes:
+the two cycles interleaved as one segment each (two junctions) or two
+segments each (four junctions).  Only the junction pairs differ from the
+input cycles' pairs, so each candidate is scored in O(1) from the cycles'
+arc counts, the gains of the cut pairs and the gains of the junctions; the
+first candidate legal with at least the floor's arcs is built and certified
+by the walk validator.  When no shape fits, a strong no-loss union small
+enough is settled by the exact Hamiltonian search, and a merge that may
+lose arcs falls back to the exact longest-cycle search on small unions."""
 
-from typing import Iterator, Optional
+from typing import Optional
 
-from .digraph import PartitionedDigraph, induce, is_strong
+from .digraph import PartitionedDigraph, induce, is_strong_within
 from .errors import CertificateError, HypothesisUnmet, TooLarge
-from .walks import GWalk, canonical_cycle, first_fit, insert_by_partners, open_cycle, walk_length
+from .walks import GWalk, canonical_cycle, insert_by_partners, open_cycle, validate_walk, walk_length
 
 DP_FALLBACK_CAP = 18
+_ILLEGAL = float("-inf")   # the gain of an illegal pair: no candidate holding it reaches a floor
 
 
-def _interleave_two(a: tuple, b: tuple) -> Iterator[tuple]:
+def _gain(arcs, part, u: int, v: int):
+    """1 for an arc (u, v), 0 for a jump inside one partite set, else _ILLEGAL."""
+    if (u, v) in arcs:
+        return 1
+    return 0 if part[u - 1] == part[v - 1] else _ILLEGAL
+
+
+def _cut_gains(arcs, seq: tuple) -> list:
+    """gains[k] is 1 when the legal pair (seq[k-1], seq[k]) of the cycle is an arc."""
+    return [1 if (seq[k - 1], seq[k]) in arcs else 0 for k in range(len(seq))]
+
+
+def _interleave_two(d: PartitionedDigraph, a: tuple, b: tuple, floor: int) -> Optional[tuple]:
+    """The first candidate a[i:] + a[:i] + b[j:] + b[:j], in (i, j) order,
+    that is legal with at least `floor` arcs, or None.  It cuts the pairs
+    entering a[i] and b[j] and adds the junctions (a[i-1], b[j]) and
+    (b[j-1], a[i])."""
+    arcs, part = d.arcs, d.part_vector
+    ga, gb = _cut_gains(arcs, a), _cut_gains(arcs, b)
+    total = sum(ga) + sum(gb)
     for i in range(len(a)):
-        ra = a[i:] + a[:i]
+        u, x = a[i - 1], a[i]
+        kept = total - ga[i]
         for j in range(len(b)):
-            yield ra + b[j:] + b[:j]
+            if kept - gb[j] + _gain(arcs, part, u, b[j]) + _gain(arcs, part, b[j - 1], x) >= floor:
+                return a[i:] + a[:i] + b[j:] + b[:j]
+    return None
 
 
-def _interleave_four(a: tuple, b: tuple) -> Iterator[tuple]:
+def _interleave_four(d: PartitionedDigraph, a: tuple, b: tuple, floor: int) -> Optional[tuple]:
+    """The first candidate a1 + b1 + a2 + b2 or a1 + b2 + a2 + b1, in
+    (i1, i2, j1, j2) order with i1 < i2 and j1 < j2, that is legal with at
+    least `floor` arcs, or None.  Here a1 = a[i1:i2], a2 = a[i2:] + a[:i1],
+    b1 = b[j1:j2] and b2 = b[j2:] + b[:j1]; the cuts are the pairs entering
+    a[i1], a[i2], b[j1] and b[j2]."""
+    arcs, part = d.arcs, d.part_vector
     p, q = len(a), len(b)
+    ga, gb = _cut_gains(arcs, a), _cut_gains(arcs, b)
+    total = sum(ga) + sum(gb)
+    # out_of[x][y] is the gain of the junction (a[x], b[y]), into[x][y] that of (b[y], a[x])
+    out_of = [[_gain(arcs, part, u, v) for v in b] for u in a]
+    into = [[_gain(arcs, part, v, u) for v in b] for u in a]
     for i1 in range(p):
+        from1, to1 = out_of[i1 - 1], into[i1]
         for i2 in range(i1 + 1, p):
-            a1 = a[i1:i2]
-            a2 = a[i2:] + a[:i1]
+            from2, to2 = out_of[i2 - 1], into[i2]
+            kept_a = total - ga[i1] - ga[i2]
             for j1 in range(q):
+                kept_ab = kept_a - gb[j1]
                 for j2 in range(j1 + 1, q):
-                    b1 = b[j1:j2]
-                    b2 = b[j2:] + b[:j1]
-                    yield a1 + b1 + a2 + b2
-                    yield a1 + b2 + a2 + b1
+                    kept = kept_ab - gb[j2]
+                    if kept + from2[j1] + to2[j2 - 1] + from1[j2] + to1[j1 - 1] >= floor:
+                        return a[i1:i2] + b[j1:j2] + a[i2:] + a[:i1] + b[j2:] + b[:j1]
+                    if kept + from2[j2] + to2[j1 - 1] + from1[j1] + to1[j2 - 1] >= floor:
+                        return a[i1:i2] + b[j2:] + b[:j1] + a[i2:] + a[:i1] + b[j1:j2]
+    return None
+
+
+def _no_loss_impossible(d: PartitionedDigraph, vertices, floor: int) -> bool:
+    """A cycle through all n vertices of the union U has at most n arcs, all
+    of them real only on a Hamiltonian cycle of D[U], which must then be
+    strong: a floor above n, or a floor of n on a union that is not strong,
+    admits no merge."""
+    n = len(vertices)
+    return floor >= n and (
+        floor > n or not is_strong_within(d, sum(1 << (v - 1) for v in vertices)))
 
 
 def certified_merge_cycles(
     d: PartitionedDigraph, c1: GWalk, c2: GWalk, floor: int
 ) -> Optional[GWalk]:
     """A cycle on the union of the two disjoint cycles with at least `floor`
-    arcs, or None when provably none exists (exact for small unions)."""
+    arcs, or None when provably none exists (exact for small unions).
+
+    Both cycles must be legal generalized cycles of the plain instance `d`:
+    each is validated first, and an illegal one raises (``IllegalPair``,
+    ``DuplicateVertex``, ``AugmentedInput``) whatever the floor."""
+    if c1.kind != "cycle" or c2.kind != "cycle":
+        raise ValueError("certified_merge_cycles merges two cycles")
     if set(c1.seq) & set(c2.seq):
         raise ValueError("cycles must be vertex-disjoint")
-    best = first_fit(d, _interleave_two(c1.seq, c2.seq), floor, closed=True)
+    validate_walk(d, c1)
+    validate_walk(d, c2)
+    union = set(c1.seq) | set(c2.seq)
+    if _no_loss_impossible(d, union, floor):
+        return None
+    best = _interleave_two(d, c1.seq, c2.seq, floor)
     if best is None:
         for host, piece_cycle in ((c1, c2), (c2, c1)):
             for i in range(len(piece_cycle.seq)):
@@ -62,9 +125,9 @@ def certified_merge_cycles(
             if best is not None:
                 break
     if best is None:
-        best = first_fit(d, _interleave_four(c1.seq, c2.seq), floor, closed=True)
+        best = _interleave_four(d, c1.seq, c2.seq, floor)
     if best is None:
-        return _dp_merge(d, set(c1.seq) | set(c2.seq), floor)
+        return _dp_merge(d, union, floor)
     return _certified(d, best, floor)
 
 
@@ -79,16 +142,13 @@ def _certified(d: PartitionedDigraph, seq: tuple, floor: int) -> GWalk:
 def _dp_merge(d: PartitionedDigraph, vertices, floor: int) -> Optional[GWalk]:
     from .search import exact_ham_cycle, oracle_longest_spanning_gcycle
 
-    n = len(vertices)
-    sub, old = induce(d, vertices)
-    no_loss = floor >= n
-    # a cycle through all n vertices has at most n arcs, all of them real only
-    # on a Hamiltonian cycle of the induced union, which must then be strong
-    if no_loss and (floor > n or not is_strong(sub)):
+    if _no_loss_impossible(d, vertices, floor):
         return None
+    n = len(vertices)
     if n > DP_FALLBACK_CAP:
         raise TooLarge(n, DP_FALLBACK_CAP)
-    if no_loss:
+    sub, old = induce(d, vertices)
+    if floor >= n:
         found = exact_ham_cycle(sub, threshold=DP_FALLBACK_CAP)
     else:
         res = oracle_longest_spanning_gcycle(sub, threshold=DP_FALLBACK_CAP)

@@ -3,8 +3,8 @@ hypothesis settings profile.
 
 The brute-force routines here enumerate permutations and subsets directly,
 and the re-solve lex-min, the 0-1 BFS, the unpruned terminal-set enumeration
-and the per-pair completion grid are the plain algorithms the packaged
-engines replaced; they exist to validate the packaged engines and must stay
+the per-pair completion grid and the fully built splice candidates are the
+plain algorithms the packaged engines replaced; they exist to validate the packaged engines and must stay
 independent of them."""
 
 from collections import deque
@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from gmpd.digraph import PartitionedDigraph, augment_terminals
 from gmpd.generators import random_extended, random_smd
 from gmpd.search import exact_ham_cycle
-from gmpd.walks import GWalk, canonical_cycle
+from gmpd.walks import GWalk, canonical_cycle, first_fit
 
 # every property test replays the same examples, with a bounded count, so the
 # suite stays deterministic and its run time fixed
@@ -172,6 +172,36 @@ def reference_completion_costs(d):
                 row.append(10 ** 9)
         grid.append(row)
     return grid
+
+
+def _splice_two(a, b):
+    for i in range(len(a)):
+        ra = a[i:] + a[:i]
+        for j in range(len(b)):
+            yield ra + b[j:] + b[:j]
+
+
+def _splice_four(a, b):
+    p, q = len(a), len(b)
+    for i1 in range(p):
+        for i2 in range(i1 + 1, p):
+            a1 = a[i1:i2]
+            a2 = a[i2:] + a[:i1]
+            for j1 in range(q):
+                for j2 in range(j1 + 1, q):
+                    b1 = b[j1:j2]
+                    b2 = b[j2:] + b[:j1]
+                    yield a1 + b1 + a2 + b2
+                    yield a1 + b2 + a2 + b1
+
+
+def reference_merge_scan(d, a, b, floor, junctions):
+    """The first splice candidate of two cycles' sequences with 2 or 4
+    junctions that is legal with at least `floor` arcs, or None: every
+    candidate is built in full, in generator order, and scanned pair by pair
+    by walks.first_fit."""
+    splices = _splice_two if junctions == 2 else _splice_four
+    return first_fit(d, splices(a, b), floor, closed=True)
 
 
 def reference_spanning_gcycle_at_least(d, k):

@@ -1,22 +1,29 @@
 import ast
+import hashlib
+import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gmpd
 from gmpd import merging, search
 from gmpd.cli import main
-from gmpd.digraph import PartitionedDigraph, induce, is_strong, strong_components
-from gmpd.errors import CertificateError, TooLarge
+from gmpd.digraph import PartitionedDigraph, induce, is_strong, is_strong_within, strong_components
+from gmpd.errors import CertificateError, GmpdError, IllegalPair, NoFactor, TooLarge
+from gmpd.factor import max_arc_gcycle_factor
 from gmpd.fileformat import emit_instance
 from gmpd.generators import fig2
 from gmpd.irreducible import spanning_gcycle_strong
 from gmpd.search import oracle_longest_spanning_gcycle
-from gmpd.walks import GWalk, canonical_cycle
+from gmpd.walks import GWalk, canonical_cycle, walk_length
 
-from conftest import random_smd_digraph
+from conftest import random_smd_digraph, reference_merge_scan
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 smd = st.builds(
     random_smd_digraph,
@@ -106,6 +113,15 @@ def test_is_strong_matches_strong_components(d):
     assert is_strong(d) == (len(strong_components(d)) == 1)
 
 
+@given(smd, st.integers(1, 2 ** 14 - 1))
+@example(DOMINATED, 0b1111)
+@example(DOMINATED, 0b0011)
+def test_is_strong_within_matches_the_induced_subdigraph(d, bits):
+    mask = bits & ((1 << d.n) - 1) or 1
+    vertices = [v for v in d.vertices() if mask >> (v - 1) & 1]
+    assert is_strong_within(d, mask) == is_strong(induce(d, vertices)[0])
+
+
 def test_arc_inputs_build_equal_instances():
     pairs = [(1, 2), (2, 3), (3, 1), (1, 4)]
     arcs = frozenset(pairs)
@@ -175,3 +191,135 @@ def test_merge_cycles_witness_pinned(monkeypatch, stage, spec, c1, c2, floor, wi
     got = merging.certified_merge_cycles(d, GWalk("cycle", c1), GWalk("cycle", c2), floor)
     assert got == (None if witness is None else GWalk("cycle", witness))
     assert (reached or ["two_junction"])[-1] == stage
+
+
+def random_legal_cycle(d, vertices, rng):
+    """A cyclic order of the vertices whose every pair is an arc or a jump
+    inside one partite set, grown greedily from random choices, or None."""
+    for _ in range(30):
+        order = [rng.choice(vertices)]
+        left = sorted(set(vertices) - {order[0]})
+        while left:
+            steps = [v for v in left if (order[-1], v) in d.arcs or d.same_part(order[-1], v)]
+            if not steps:
+                break
+            order.append(rng.choice(steps))
+            left.remove(order[-1])
+        u, v = order[-1], order[0]
+        if not left and ((u, v) in d.arcs or d.same_part(u, v)):
+            return tuple(order)
+    return None
+
+
+@st.composite
+def legal_cycle_pairs(draw):
+    """Two disjoint legal cycles of a random SMD with n 4-15: two cycles of
+    its maximum-arc factor, or two random legal cycles on a random split."""
+    n = draw(st.integers(4, 15))
+    d = random_smd_digraph(n, draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 0.3, 0.7])),
+                           draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        try:
+            cycles = [c.seq for c in max_arc_gcycle_factor(d).cycles]
+        except NoFactor:
+            cycles = []
+        assume(len(cycles) >= 2)
+        i = draw(st.integers(0, len(cycles) - 2))
+        return d, cycles[i], cycles[draw(st.integers(i + 1, len(cycles) - 1))]
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    vertices = list(d.vertices())
+    rng.shuffle(vertices)
+    cut = draw(st.integers(2, n - 2))
+    a, b = random_legal_cycle(d, vertices[:cut], rng), random_legal_cycle(d, vertices[cut:], rng)
+    assume(a is not None and b is not None)
+    return d, a, b
+
+
+@settings(max_examples=120)
+@given(legal_cycle_pairs())
+# test_merge_cycles_witness_pinned's four-junction pair: only that scan merges it at floor 5
+@example((random_smd_digraph(6, 2, 0.3, 185), (5, 2, 3), (4, 1, 6)))
+def test_merge_scans_match_the_reference(pair):
+    d, a, b = pair
+    la, lb = walk_length(d, GWalk("cycle", a)), walk_length(d, GWalk("cycle", b))
+    union = set(a) | set(b)
+    for floor in (la + lb - 1, la + lb, la + lb + 1, len(union)):
+        two = reference_merge_scan(d, a, b, floor, 2)
+        assert merging._interleave_two(d, a, b, floor) == two
+        assert merging._interleave_four(d, a, b, floor) == reference_merge_scan(d, a, b, floor, 4)
+        got = merging.certified_merge_cycles(d, GWalk("cycle", a), GWalk("cycle", b), floor)
+        if floor >= len(union) and (floor > len(union) or not is_strong(induce(d, union)[0])):
+            assert got is None
+        elif two is not None:
+            assert got == canonical_cycle(GWalk("cycle", two))
+
+
+def refuse(name):
+    def fail(*args):
+        pytest.fail(f"{name} was reached")
+    return fail
+
+
+def test_impossible_no_loss_union_is_rejected_before_any_scan(monkeypatch):
+    for name in ("_interleave_two", "insert_by_partners", "_interleave_four", "induce",
+                 "_dp_merge"):
+        monkeypatch.setattr(merging, name, refuse(name))
+    c1, c2 = GWalk("cycle", (1, 2)), GWalk("cycle", (3, 4))
+    # both 2-cycles are all arcs, so floor 4 asks for no loss on a union that is not strong
+    assert merging.certified_merge_cycles(DOMINATED, c1, c2, 4) is None
+    strong = PartitionedDigraph([1, 2, 1, 2], [(1, 2), (2, 1), (3, 4), (4, 3), (1, 4), (3, 2)])
+    assert is_strong(strong)
+    assert merging.certified_merge_cycles(strong, c1, c2, 5) is None
+
+
+def test_strong_union_past_the_cap_raises_too_large_before_induce(monkeypatch):
+    # the two partite sets as jump cycles: no splice or partner insertion
+    # reaches 19 arcs, and the union is strong
+    d = random_smd_digraph(19, 2, 0.0, 0)
+    assert is_strong(d)
+    c1, c2 = (GWalk("cycle", tuple(sorted(s))) for s in d.partite_sets())
+    monkeypatch.setattr(merging, "induce", refuse("induce"))
+    with pytest.raises(TooLarge):
+        merging.certified_merge_cycles(d, c1, c2, d.n)
+
+
+def test_illegal_input_cycle_raises_whatever_the_floor():
+    # the wrap pair (2, 1) of the first cycle is neither an arc nor a jump;
+    # the first two-junction candidate 1 2 3 4 cuts it and has 4 arcs
+    d = PartitionedDigraph([1, 2, 1, 2], [(1, 2), (2, 3), (3, 4), (4, 3), (4, 1)])
+    for floor in (0, 3, 4, 5):
+        with pytest.raises(IllegalPair):
+            merging.certified_merge_cycles(d, GWalk("cycle", (1, 2)), GWalk("cycle", (3, 4)), floor)
+    with pytest.raises(ValueError):
+        merging.certified_merge_cycles(d, GWalk("path", (3, 4)), GWalk("cycle", (1, 2)), 0)
+
+
+CHAIN_SEED = 1
+CHAIN_CELLS = [(b, s, c) for b in (3, 4, 5, 6) for s in (10, 12) for c in (3, 4, 5)]
+
+
+def chain_strong_digests():
+    """sha256 of each answer of the strong route on one seeded draw of every
+    cell of the benchmark's chain family: the answer's repr, or the error's
+    type and text."""
+    import workloads
+
+    rng = workloads.rng_for("chain-strong", CHAIN_SEED)
+    got = {}
+    for b, s, c in CHAIN_CELLS:
+        part, arcs = workloads.chain(b, s, c, rng)
+        try:
+            answer = repr(spanning_gcycle_strong(PartitionedDigraph(part, arcs)))
+        except GmpdError as exc:
+            answer = f"{type(exc).__name__}: {exc}"
+        got[f"chain {b} {s} {c}"] = hashlib.sha256(answer.encode()).hexdigest()
+    return got
+
+
+def test_chain_family_answers_match_recorded_digests(monkeypatch):
+    # a changed witness, or a moved TooLarge, changes every later merge of the
+    # strong route; the digests were recorded before the merge scans scored
+    # candidates in O(1) and rejected impossible no-loss unions up front
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    recorded = json.loads((GOLDEN / "chain_strong_digests.json").read_text())
+    assert chain_strong_digests() == recorded
