@@ -42,19 +42,22 @@ class PartitionedDigraph:
             raise ValueError("partite indices must cover 1..c with every index used")
         self._part = part
         # a frozenset of plain int pairs is immutable and is kept, not copied
-        if not isinstance(arcs, frozenset) or any(
-            type(u) is not int or type(v) is not int for u, v in arcs
-        ):
+        if not isinstance(arcs, frozenset):
             arcs = frozenset((int(u), int(v)) for u, v in arcs)
+        plain = True
         out = [0] * self.n
         inn = [0] * self.n
         for u, v in arcs:
+            if type(u) is not int or type(v) is not int:
+                plain, u, v = False, int(u), int(v)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"arc ({u},{v}) out of range")
             out[u - 1] |= 1 << (v - 1)
             inn[v - 1] |= 1 << (u - 1)
+        if not plain:
+            arcs = frozenset((int(u), int(v)) for u, v in arcs)
         self.arcs = arcs
         self.augmented = augmented
         # bit w-1 of out_masks[v-1] (in_masks[v-1]) is set for an arc (v,w) ((w,v))
@@ -96,7 +99,7 @@ class PartitionedDigraph:
 
     def is_smd(self) -> bool:
         if self._smd_cache is None:
-            self._smd_cache = validate(self).is_smd
+            validate(self)
         return self._smd_cache
 
     def require_smd(self):
@@ -131,7 +134,8 @@ class ValidationReport:
 
 
 def validate(d: PartitionedDigraph) -> ValidationReport:
-    """Classify an instance; violations are reported, never raised."""
+    """Classify an instance; violations are reported, never raised.  The
+    `is_smd` verdict is kept on the instance for `require_smd`."""
     internal = None
     for u, v in sorted(d.arcs):
         if d.same_part(u, v):
@@ -144,7 +148,7 @@ def validate(d: PartitionedDigraph) -> ValidationReport:
         if (u, v) not in d.arcs and (v, u) not in d.arcs:
             missing = (u, v)
             break
-    smd = internal is None and missing is None
+    smd = d._smd_cache = internal is None and missing is None
     ext_witness = None
     if smd:
         sets = d.partite_sets()

@@ -5,13 +5,14 @@ cycle bound for strong instances."""
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .digraph import PartitionedDigraph, is_strong, validate
-from .errors import CertificateError, NotBipartite, NotStrong, PreconditionUnmet
+from .digraph import PartitionedDigraph, validate
+from .errors import CertificateError, NotBipartite, NotStrong, PreconditionUnmet, TooLarge
 from .factor import max_arc_gcycle_factor
-from .merging import certified_merge_cycles, certified_multi_merge
+from .merging import _merge_legal, certified_merge_cycles, certified_multi_merge
 from .walks import (
     GFactor,
     GWalk,
+    arc_count,
     canonical_cycle,
     validate_factor,
     walk_length,
@@ -109,25 +110,40 @@ def verify_chain_certificate(d: PartitionedDigraph, cycles) -> bool:
 
 def make_irreducible(d: PartitionedDigraph, f: GFactor) -> IrreducibleFactor:
     """Merge pairs (and dominance triangles) without losing arcs until the
-    cycles admit a one-way dominance chain; certificate re-verified by scans."""
+    cycles admit a one-way dominance chain; certificate re-verified by scans.
+
+    A one-way dominated pair too large for the exact search to decide counts
+    as not mergeable: the chain certificate does not need its merge."""
     d.require_smd()
     validate_factor(d, f)
-    base_arcs = f.arc_count(d)
     cycles: List[GWalk] = sorted(
         (canonical_cycle(c) for c in f.cycles), key=lambda c: c.seq[0]
     )
+    length = {c.seq: arc_count(d, c.seq, True) for c in cycles}
+    base_arcs = sum(length.values())
+    failed = set()   # (seq, seq) pairs with no no-loss merge; a merge never revives one
     while True:
         merged = False
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
-                target = walk_length(d, cycles[i]) + walk_length(d, cycles[j])
-                m = certified_merge_cycles(d, cycles[i], cycles[j], target)
-                if m is not None:
-                    cycles[i] = m
-                    del cycles[j]
-                    cycles.sort(key=lambda c: c.seq[0])
-                    merged = True
-                    break
+                a, b = cycles[i], cycles[j]
+                if (a.seq, b.seq) in failed:
+                    continue
+                try:
+                    m = _merge_legal(d, a, b, length[a.seq] + length[b.seq])
+                except TooLarge:
+                    if relation(d, a, b) not in (LEFT_OVER, RIGHT_OVER):
+                        raise
+                    m = None
+                if m is None:
+                    failed.add((a.seq, b.seq))
+                    continue
+                cycles[i] = m[0]
+                length[m[0].seq] = m[1]
+                del cycles[j]
+                cycles.sort(key=lambda c: c.seq[0])
+                merged = True
+                break
             if merged:
                 break
         if merged:
@@ -140,34 +156,27 @@ def make_irreducible(d: PartitionedDigraph, f: GFactor) -> IrreducibleFactor:
             for j in range(k):
                 if i != j:
                     beats[i][j] = relation(d, cycles[i], cycles[j]) == LEFT_OVER
-        triangle = None
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    if len({i, j, l}) == 3 and beats[i][j] and beats[j][l] and beats[l][i]:
-                        triangle = (i, j, l)
-                        break
-                if triangle:
-                    break
-            if triangle:
-                break
+        triangle = next(((i, j, l) for i in range(k) for j in range(k) for l in range(k)
+                         if len({i, j, l}) == 3 and beats[i][j] and beats[j][l] and beats[l][i]),
+                        None)
         if triangle is None:
             order = sorted(range(k), key=lambda i: (-sum(beats[i]), cycles[i].seq[0]))
             ordered = [cycles[i] for i in order]
             if not verify_chain_certificate(d, ordered):
                 raise CertificateError("merged cycles do not form a one-way dominance chain")
-            arc_count = sum(walk_length(d, c) for c in ordered)
-            if arc_count < base_arcs:
-                raise CertificateError(f"merging lost arcs: {arc_count} < {base_arcs}")
-            out = IrreducibleFactor(tuple(ordered), arc_count)
+            total = sum(length[c.seq] for c in ordered)
+            if total < base_arcs:
+                raise CertificateError(f"merging lost arcs: {total} < {base_arcs}")
+            out = IrreducibleFactor(tuple(ordered), total)
             validate_factor(d, out.as_factor())
             return out
         i, j, l = triangle
         group = [cycles[x] for x in (i, j, l)]
-        floor = sum(walk_length(d, c) for c in group)
+        floor = sum(length[c.seq] for c in group)
         merged_cycle = certified_multi_merge(d, group, floor)
         if merged_cycle is None:
             raise CertificateError(f"dominance triangle {triangle} did not collapse")
+        length[merged_cycle.seq] = walk_length(d, merged_cycle)
         cycles = [c for x, c in enumerate(cycles) if x not in (i, j, l)]
         cycles.append(merged_cycle)
         cycles.sort(key=lambda c: c.seq[0])
@@ -248,10 +257,10 @@ def spanning_gcycle_strong(
     Route: maximum-arc factor, irreducible chain ordering, then repeated
     merging of the longest prefix group that shares a partite set with the
     chain head, each group merge certified within its loss budget."""
-    d.require_smd()
-    if not is_strong(d):
-        raise NotStrong("needs a strong instance")
     report = validate(d)
+    d.require_smd()
+    if not report.is_strong:
+        raise NotStrong("needs a strong instance")
     factor = max_arc_gcycle_factor(d)
     cf = factor.arc_count(d)
     cprime = count_nontrivial_parts(d)

@@ -12,9 +12,12 @@ arc counts, the gains of the cut pairs and the gains of the junctions; the
 first candidate legal with at least the floor's arcs is built and certified
 by the walk validator.  When no shape fits, a strong no-loss union small
 enough is settled by the exact Hamiltonian search, and a merge that may
-lose arcs falls back to the exact longest-cycle search on small unions."""
+lose arcs falls back to the exact longest-cycle search on small unions.  A
+strong no-loss union past that cap whose cycles are both within it is
+searched block by block: one Hamiltonian path of each cycle's vertices,
+joined by two arcs."""
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from .digraph import PartitionedDigraph, induce, is_strong_within
 from .errors import CertificateError, HypothesisUnmet, TooLarge
@@ -92,6 +95,48 @@ def _no_loss_impossible(d: PartitionedDigraph, vertices, floor: int) -> bool:
         floor > n or not is_strong_within(d, sum(1 << (v - 1) for v in vertices)))
 
 
+def _local(mask: int, verts) -> int:
+    """The vertex bitmask `mask` restricted to `verts`, bit k for verts[k]."""
+    return sum(1 << k for k, u in enumerate(verts) if mask >> (u - 1) & 1)
+
+
+def _two_block(d: PartitionedDigraph, c1: tuple, c2: tuple) -> Optional[tuple]:
+    """A Hamiltonian cycle of real arcs on the union made of one Hamiltonian
+    path of each cycle's block, or None: for a closing arc (b, a), a path of
+    D[V(A)] from a, an arc from its end to the start of a path of D[V(B)]
+    that ends at b, with (A, B) = (c1, c2).  The other order finds nothing
+    more: such a cycle's arc from A's block into B's closes it there.  Reach
+    tables run one at a time, only from closing-arc ends: on A's in-masks
+    from a, on B's out-masks (the reversed digraph) from b.  The winners'
+    tables are recomputed to rebuild the two paths."""
+    from .search import _reach_dp_fast, _reconstruct_path
+
+    av, bv = sorted(c1), sorted(c2)
+    p, q = len(av), len(bv)
+    a_in = [_local(d.in_masks[v - 1], av) for v in av]
+    b_out = [_local(d.out_masks[v - 1], bv) for v in bv]
+    into_b = [_local(d.out_masks[v - 1], bv) for v in av]
+    # ends[i]: the possible ends of a path of A from av[i], for av[i] entered from B
+    ends = {i: int(_reach_dp_fast(p, a_in, i)[-1])
+            for i, a in enumerate(av) if any((b, a) in d.arcs for b in bv)}
+    # starts[j]: the possible starts of a path of B into bv[j], for bv[j] closing
+    # onto an av[i] with an end
+    starts = {j: int(_reach_dp_fast(q, b_out, j)[-1])
+              for j, b in enumerate(bv) if any(ends[i] and (b, av[i]) in d.arcs for i in ends)}
+    for i in ends:
+        for j in starts:
+            if (bv[j], av[i]) not in d.arcs:
+                continue
+            for x in range(p):
+                ys = into_b[x] & starts[j]
+                if ends[i] >> x & 1 and ys:
+                    y = (ys & -ys).bit_length() - 1
+                    pa = _reconstruct_path(_reach_dp_fast(p, a_in, i), a_in, i, x, (1 << p) - 1)
+                    pb = _reconstruct_path(_reach_dp_fast(q, b_out, j), b_out, j, y, (1 << q) - 1)
+                    return tuple(av[k] for k in pa) + tuple(bv[k] for k in reversed(pb))
+    return None
+
+
 def certified_merge_cycles(
     d: PartitionedDigraph, c1: GWalk, c2: GWalk, floor: int
 ) -> Optional[GWalk]:
@@ -107,6 +152,15 @@ def certified_merge_cycles(
         raise ValueError("cycles must be vertex-disjoint")
     validate_walk(d, c1)
     validate_walk(d, c2)
+    found = _merge_legal(d, c1, c2, floor)
+    return None if found is None else found[0]
+
+
+def _merge_legal(
+    d: PartitionedDigraph, c1: GWalk, c2: GWalk, floor: int
+) -> Optional[Tuple[GWalk, int]]:
+    """certified_merge_cycles for two disjoint cycles already known to be
+    legal: the merged cycle with its certified arc count, or None."""
     union = set(c1.seq) | set(c2.seq)
     if _no_loss_impossible(d, union, floor):
         return None
@@ -126,17 +180,20 @@ def certified_merge_cycles(
                 break
     if best is None:
         best = _interleave_four(d, c1.seq, c2.seq, floor)
+    if best is None and floor >= len(union) > DP_FALLBACK_CAP >= max(len(c1.seq), len(c2.seq)):
+        best = _two_block(d, c1.seq, c2.seq)
     if best is None:
-        return _dp_merge(d, union, floor)
+        merged = _dp_merge(d, union, floor)
+        return None if merged is None else (merged, walk_length(d, merged))
     return _certified(d, best, floor)
 
 
-def _certified(d: PartitionedDigraph, seq: tuple, floor: int) -> GWalk:
+def _certified(d: PartitionedDigraph, seq: tuple, floor: int) -> Tuple[GWalk, int]:
     walk = canonical_cycle(GWalk("cycle", seq))
     length = walk_length(d, walk)
     if length < floor:
         raise CertificateError(f"merged cycle has {length} arcs, below the floor {floor}")
-    return walk
+    return walk, length
 
 
 def _dp_merge(d: PartitionedDigraph, vertices, floor: int) -> Optional[GWalk]:
@@ -155,7 +212,7 @@ def _dp_merge(d: PartitionedDigraph, vertices, floor: int) -> Optional[GWalk]:
         found = res[1] if res is not None and res[0] >= floor else None
     if found is None:
         return None
-    return _certified(d, tuple(old[v - 1] for v in found.seq), floor)
+    return _certified(d, tuple(old[v - 1] for v in found.seq), floor)[0]
 
 
 def certified_multi_merge(
@@ -163,7 +220,4 @@ def certified_multi_merge(
 ) -> Optional[GWalk]:
     """Spanning cycle over the union of several disjoint cycles with at least
     `floor` arcs, found by exact subset search on the union."""
-    vertices = set()
-    for c in cycles:
-        vertices |= set(c.seq)
-    return _dp_merge(d, vertices, floor)
+    return _dp_merge(d, {v for c in cycles for v in c.seq}, floor)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gmpd.digraph import (
@@ -138,3 +139,24 @@ def test_induce_relabels_and_compacts(fig1):
     assert old == [3, 4, 5]
     assert sub.n == 3 and sub.c == 2
     assert (2, 1) in sub.arcs  # x -> c survives relabelling
+
+
+def test_arc_normalization_and_errors():
+    pairs = [(1, 2), (2, 3), (3, 1), (1, 4)]
+    plain = PartitionedDigraph([1, 2, 3, 1], frozenset(pairs))
+    # numpy ints, floats and a mix of both with plain ints, in a frozenset or not
+    for arcs in (frozenset((np.int64(u), np.int32(v)) for u, v in pairs),
+                 frozenset((float(u), v) for u, v in pairs),
+                 frozenset([(np.int64(1), 2)] + pairs[1:]),
+                 [(np.int64(u), np.int64(v)) for u, v in pairs]):
+        d = PartitionedDigraph([1, 2, 3, 1], arcs)
+        assert d == plain and d.out_masks == plain.out_masks and d.in_masks == plain.in_masks
+        assert all(type(u) is int and type(v) is int for u, v in d.arcs)
+    with pytest.raises(ValueError, match=r"^loop at vertex 2$"):
+        PartitionedDigraph([1, 2], frozenset({(1, 2), (np.int64(2), np.int64(2))}))
+    with pytest.raises(ValueError, match=r"^loop at vertex 2$"):
+        PartitionedDigraph([1, 2], [(1, 2), (2, 2)])
+    with pytest.raises(ValueError, match=r"^arc \(2,3\) out of range$"):
+        PartitionedDigraph([1, 2], frozenset({(1, 2), (np.int64(2), 3)}))
+    with pytest.raises(ValueError, match=r"^arc \(0,1\) out of range$"):
+        PartitionedDigraph([1, 2], [(0, 1)])

@@ -1,7 +1,15 @@
 import pytest
 
-from gmpd.digraph import PartitionedDigraph, is_strong
-from gmpd.errors import NotBipartite, PreconditionUnmet
+from gmpd import cli, digraph, extended, irreducible
+from gmpd.digraph import PartitionedDigraph, augment_terminals, is_strong
+from gmpd.errors import (
+    AugmentedInput,
+    NotBipartite,
+    NotSemicomplete,
+    NotStrong,
+    PreconditionUnmet,
+    TooLarge,
+)
 from gmpd.factor import c_f, max_arc_gcycle_factor
 from gmpd.irreducible import (
     FEASIBLE,
@@ -263,3 +271,60 @@ def test_bipartite_structure_rejects_nonbipartite(fig1):
     irr = make_irreducible(fig1, f)
     with pytest.raises(NotBipartite):
         bipartite_factor_structure(fig1, irr)
+
+
+def undecided_dominated_pair():
+    """A 19-cycle 1..19 of a transitive tournament dominating the 2-cycle
+    (20, 21) but for the arc (20, 1); 19 and 21 share a partite set.  The
+    union is strong, yet its only Hamiltonian path from 1 inside the 19-cycle
+    ends at 19, which has no arc to 21: no cycle keeps all 21 arcs, and the
+    union is past the exact search's cap."""
+    part = list(range(1, 20)) + [20, 19]
+    arcs = {(i, j) for i in range(1, 20) for j in range(i + 1, 20)} - {(1, 19)} | {(19, 1)}
+    arcs |= {(i, 20) for i in range(2, 20)} | {(20, 1), (20, 21), (21, 20)}
+    arcs |= {(i, 21) for i in range(1, 19)}
+    return PartitionedDigraph(part, arcs), cycle(*range(1, 20)), cycle(20, 21)
+
+
+def test_undecided_dominated_pair_counts_as_no_merge():
+    d, big, small = undecided_dominated_pair()
+    assert d.is_smd() and is_strong(d) and relation(d, big, small) == LEFT_OVER
+    with pytest.raises(TooLarge):
+        merge_pair_no_loss(d, big, small)
+    irr = make_irreducible(d, GFactor((small, big)))
+    assert irr.cycles == (big, small) and irr.arc_count == 21
+    assert verify_chain_certificate(d, irr.cycles)
+    walk, cert = spanning_gcycle_strong(d)
+    assert is_spanning(d, walk) and cert["length"] == walk_length(d, walk) == 20
+    assert cert["lower_bound"] == 20
+
+
+def test_strong_route_validates_once(monkeypatch):
+    calls = []
+
+    def counting(d, _fn=digraph.validate):
+        calls.append(d)
+        return _fn(d)
+
+    for module in (digraph, irreducible, extended, cli):
+        monkeypatch.setattr(module, "validate", counting)
+    for d in (undecided_dominated_pair()[0], random_smd_digraph(12, 3, 0.4, 7)):
+        assert is_strong(d)
+        calls.clear()
+        spanning_gcycle_strong(d)
+        assert len(calls) == 1
+
+
+def test_strong_route_errors_keep_their_order():
+    d = random_smd_digraph(8, 2, 0.4, 3)
+    assert d.is_smd() and is_strong(d)
+    # an augmented instance has arcs inside a partite set, so it is not an SMD either
+    augmented = augment_terminals(d, [1])
+    assert augmented.augmented and not digraph.validate(augmented).is_smd
+    with pytest.raises(AugmentedInput):
+        spanning_gcycle_strong(augmented)
+    # a missing cross pair and no way back to 1: neither an SMD nor strong
+    with pytest.raises(NotSemicomplete):
+        spanning_gcycle_strong(PartitionedDigraph([1, 2, 3], [(1, 2), (2, 3)]))
+    with pytest.raises(NotStrong):
+        spanning_gcycle_strong(PartitionedDigraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]))

@@ -298,28 +298,84 @@ CHAIN_SEED = 1
 CHAIN_CELLS = [(b, s, c) for b in (3, 4, 5, 6) for s in (10, 12) for c in (3, 4, 5)]
 
 
+def chain_draws():
+    """One seeded draw of every cell of the benchmark's chain family, in the
+    benchmark's order: (cell name, instance)."""
+    import workloads
+
+    rng = workloads.rng_for("chain-strong", CHAIN_SEED)
+    for b, s, c in CHAIN_CELLS:
+        yield f"chain {b} {s} {c}", PartitionedDigraph(*workloads.chain(b, s, c, rng))
+
+
 def chain_strong_digests():
     """sha256 of each answer of the strong route on one seeded draw of every
     cell of the benchmark's chain family: the answer's repr, or the error's
     type and text."""
-    import workloads
-
-    rng = workloads.rng_for("chain-strong", CHAIN_SEED)
     got = {}
-    for b, s, c in CHAIN_CELLS:
-        part, arcs = workloads.chain(b, s, c, rng)
+    for cell, d in chain_draws():
         try:
-            answer = repr(spanning_gcycle_strong(PartitionedDigraph(part, arcs)))
+            answer = repr(spanning_gcycle_strong(d))
         except GmpdError as exc:
             answer = f"{type(exc).__name__}: {exc}"
-        got[f"chain {b} {s} {c}"] = hashlib.sha256(answer.encode()).hexdigest()
+        got[cell] = hashlib.sha256(answer.encode()).hexdigest()
     return got
 
 
 def test_chain_family_answers_match_recorded_digests(monkeypatch):
     # a changed witness, or a moved TooLarge, changes every later merge of the
     # strong route; the digests were recorded before the merge scans scored
-    # candidates in O(1) and rejected impossible no-loss unions up front
+    # candidates in O(1) and rejected impossible no-loss unions up front.
+    # `chain 4 10 3` and `chain 4 12 4` were re-recorded when the route
+    # stopped raising TooLarge on them: the first skips an undecided one-way
+    # dominated pair, the second merges a pair past the cap block by block;
+    # both now reach length c_f
     monkeypatch.syspath_prepend(str(PERFBENCH))
     recorded = json.loads((GOLDEN / "chain_strong_digests.json").read_text())
     assert chain_strong_digests() == recorded
+
+
+def junctions(seq, side):
+    """How many consecutive pairs of the cyclic sequence cross between
+    `side` and the rest."""
+    return sum((seq[k - 1] in side) != (seq[k] in side) for k in range(len(seq)))
+
+
+@settings(max_examples=120)
+@given(legal_cycle_pairs())
+def test_two_block_search_is_sound_and_finds_two_junction_cycles(pair):
+    # called directly, without the cap check that limits it to unions past
+    # DP_FALLBACK_CAP in certified_merge_cycles
+    d, a, b = pair
+    union = set(a) | set(b)
+    got = merging._two_block(d, a, b)
+    sub, old = induce(d, union)
+    witness = search.exact_ham_cycle(sub)
+    if got is not None:
+        assert sorted(got) == sorted(union)
+        assert walk_length(d, GWalk("cycle", got)) == len(union)
+        assert junctions(got, set(a)) == 2
+    if witness is None:
+        assert got is None
+    elif junctions(tuple(old[v - 1] for v in witness.seq), set(a)) == 2:
+        assert got is not None
+
+
+def test_two_block_merges_a_chain_pair_past_the_cap(monkeypatch):
+    # the no-loss pair of the strong route on `chain 4 12 4` (seed 1) that the
+    # exact search refuses: a 19-vertex union of a 12-cycle and a 7-cycle,
+    # both all arcs, whose only merges reorder each cycle's block
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    d = dict(chain_draws())["chain 4 12 4"]
+    c1 = GWalk("cycle", (1, 2, 3, 4, 5, 6, 9, 10, 8, 11, 7, 12))
+    c2 = GWalk("cycle", (42, 43, 46, 48, 47, 45, 44))
+    union = set(c1.seq) | set(c2.seq)
+    assert walk_length(d, c1) + walk_length(d, c2) == len(union) == merging.DP_FALLBACK_CAP + 1
+    with pytest.raises(TooLarge):
+        merging._dp_merge(d, union, len(union))
+    assert merging._interleave_two(d, c1.seq, c2.seq, len(union)) is None
+    assert merging._interleave_four(d, c1.seq, c2.seq, len(union)) is None
+    got = merging.certified_merge_cycles(d, c1, c2, len(union))
+    witness = (1, 42, 44, 46, 48, 47, 45, 43, 3, 12, 10, 8, 11, 7, 9, 2, 5, 6, 4)
+    assert got == GWalk("cycle", witness)
+    assert walk_length(d, got) == len(union)
