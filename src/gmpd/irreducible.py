@@ -116,6 +116,11 @@ def make_irreducible(d: PartitionedDigraph, f: GFactor) -> IrreducibleFactor:
     as not mergeable: the chain certificate does not need its merge."""
     d.require_smd()
     validate_factor(d, f)
+    return _make_irreducible(d, f)
+
+
+def _make_irreducible(d: PartitionedDigraph, f: GFactor) -> IrreducibleFactor:
+    """make_irreducible for a factor already validated on the SMD `d`."""
     cycles: List[GWalk] = sorted(
         (canonical_cycle(c) for c in f.cycles), key=lambda c: c.seq[0]
     )
@@ -261,8 +266,8 @@ def spanning_gcycle_strong(
     d.require_smd()
     if not report.is_strong:
         raise NotStrong("needs a strong instance")
-    factor = max_arc_gcycle_factor(d)
-    cf = factor.arc_count(d)
+    factor = max_arc_gcycle_factor(d)   # validated there, so not checked again here
+    cf = sum(arc_count(d, c.seq, True) for c in factor.cycles)
     cprime = count_nontrivial_parts(d)
     per_group_loss = 1 if cprime <= 1 else 2
     lower = cf - 1 if cprime <= 1 else cf - 2 * cprime
@@ -280,7 +285,7 @@ def spanning_gcycle_strong(
             "route": "extended",
         }
         return cyc, cert
-    irr = make_irreducible(d, factor)
+    irr = _make_irreducible(d, factor)
     cycles = list(irr.cycles)
     while len(cycles) > 1:
         head_parts = {d.part(v) for v in cycles[0].seq}

@@ -131,8 +131,8 @@ def _two_block(d: PartitionedDigraph, c1: tuple, c2: tuple) -> Optional[tuple]:
                 ys = into_b[x] & starts[j]
                 if ends[i] >> x & 1 and ys:
                     y = (ys & -ys).bit_length() - 1
-                    pa = _reconstruct_path(_reach_dp_fast(p, a_in, i), a_in, i, x, (1 << p) - 1)
-                    pb = _reconstruct_path(_reach_dp_fast(q, b_out, j), b_out, j, y, (1 << q) - 1)
+                    pa = _reconstruct_path([_reach_dp_fast(p, a_in, i)], a_in, (1 << p) - 1, x)
+                    pb = _reconstruct_path([_reach_dp_fast(q, b_out, j)], b_out, (1 << q) - 1, y)
                     return tuple(av[k] for k in pa) + tuple(bv[k] for k in reversed(pb))
     return None
 
@@ -197,7 +197,7 @@ def _certified(d: PartitionedDigraph, seq: tuple, floor: int) -> Tuple[GWalk, in
 
 
 def _dp_merge(d: PartitionedDigraph, vertices, floor: int) -> Optional[GWalk]:
-    from .search import exact_ham_cycle, oracle_longest_spanning_gcycle
+    from .search import _max_arc_walk, exact_ham_cycle
 
     if _no_loss_impossible(d, vertices, floor):
         return None
@@ -208,8 +208,10 @@ def _dp_merge(d: PartitionedDigraph, vertices, floor: int) -> Optional[GWalk]:
     if floor >= n:
         found = exact_ham_cycle(sub, threshold=DP_FALLBACK_CAP)
     else:
-        res = oracle_longest_spanning_gcycle(sub, threshold=DP_FALLBACK_CAP)
-        found = res[1] if res is not None and res[0] >= floor else None
+        # at least `floor` arcs on n vertices is at most n - floor jumps
+        sub.require_smd()
+        res = _max_arc_walk(sub, [0], True, n - floor)
+        found = None if res is None else res[1]
     if found is None:
         return None
     return _certified(d, tuple(old[v - 1] for v in found.seq), floor)[0]

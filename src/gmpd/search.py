@@ -1,10 +1,13 @@
 """Exact desk-scale engines: Hamiltonicity, prescribed-end spanning walks,
 longest-walk oracles, and the jump-count metrics.
 
-The subset dynamic programs are vectorized over all vertex subsets of a
-given popcount layer, which keeps n = 16..18 instances within seconds.
-Thresholds are configuration: an explicit argument wins, then the
-GMPD_EXACT_THRESHOLD environment variable, then the per-engine default.
+Every subset dynamic program runs on one kernel over tables of one uint32
+word per vertex subset (the possible last vertices), vectorized over each
+popcount layer, so no engine takes more than 31 vertices.  The longest-walk
+oracles and the n-k decision count jumps, not arcs: level j of their table
+holds the ends reached with at most j jumps.  Thresholds are configuration:
+an explicit argument wins, then the GMPD_EXACT_THRESHOLD environment
+variable, then the per-engine default.
 """
 
 import os
@@ -25,8 +28,7 @@ DEFAULT_HAM_THRESHOLD = 20
 DEFAULT_CYCLE_ORACLE_THRESHOLD = 16
 DEFAULT_PATH_ORACLE_THRESHOLD = 18
 DEFAULT_ATLEAST_K_CAP = 6
-
-_BIG = 10 ** 6
+_WORD_CAP = 31   # a table keeps a subset's ends in one uint32 word
 
 
 def resolve_threshold(default: int, override: Optional[int] = None) -> int:
@@ -39,7 +41,7 @@ def resolve_threshold(default: int, override: Optional[int] = None) -> int:
 
 
 def _check_size(n: int, default: int, override: Optional[int]):
-    limit = resolve_threshold(default, override)
+    limit = min(resolve_threshold(default, override), _WORD_CAP)
     if n > limit:
         raise TooLarge(n, limit)
 
@@ -56,6 +58,117 @@ def _popcount_layers(n: int):
     return tuple(np.flatnonzero(pc == p).astype(np.int32) for p in range(n + 1))
 
 
+# -- the jump-layered subset DP ---------------------------------------------
+
+
+def _push_layers(n: int, dp: np.ndarray, arc_in, jump_in=None, prev=None, older=None):
+    """Push the subset table dp forward in place, one popcount layer at a
+    time: bit w of dp[mask | 1 << w] is set when a source end of mask steps
+    into w (arc_in[w], jump_in[w]: w's predecessors as bitmasks).  Without
+    `prev`, every end steps along arcs.  With it, dp is the next jump level,
+    a copy of `prev`: the ends not in prev[mask] step along arcs, and the
+    ends of prev[mask] not in older[mask] (all, when `older` is None) along
+    jumps; all other steps land in `prev` already."""
+    layers = _popcount_layers(n)
+    arc_w = [np.uint32(x) for x in arc_in]
+    jump_w = None if prev is None else [np.uint32(x) for x in jump_in]
+    for p in range(1, n):
+        layer = layers[p].astype(np.intp)
+        if prev is None:
+            sub = layer[dp[layer] != 0]
+            ends = dp[sub]
+        else:
+            old = prev[layer]
+            live = dp[layer] != old
+            live |= old != (0 if older is None else older[layer])
+            sub = layer[live]
+            old = prev[sub]
+            ends = dp[sub] & ~old
+            jumps = old if older is None else old & ~older[sub]
+        if sub.size == 0:
+            continue
+        # skip each w that no source steps into or every live mask holds
+        by_arc = int(np.bitwise_or.reduce(ends))
+        by_jump = 0 if prev is None else int(np.bitwise_or.reduce(jumps))
+        held = int(np.bitwise_and.reduce(sub))
+        for w in range(n):
+            if held >> w & 1 or not (by_arc & arc_in[w] or by_jump and by_jump & jump_in[w]):
+                continue
+            bw = 1 << w
+            hit = (ends & arc_w[w]) != 0
+            if by_jump:
+                hit |= (jumps & jump_w[w]) != 0
+            ok = hit & ((sub & bw) == 0)
+            if ok.any():
+                dp[sub[ok] | bw] |= np.uint32(bw)
+
+
+def _jump_in(d: PartitionedDigraph):
+    """jump_in[v]: the other vertices of v's partite set, as a 0-based bitmask."""
+    part = d.part_vector
+    same = [0] * (d.c + 1)
+    for v in range(d.n):
+        same[part[v]] |= 1 << v
+    return [same[part[v]] & ~(1 << v) for v in range(d.n)]
+
+
+def _lowest_bit_index(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _predecessor(levels, j: int, pmask: int, w: int, arc_in, jump_in=None):
+    """(u, jumps up to u) for the smallest u that steps into w after a
+    sequence over pmask, with j jumps up to w, or None: an arc from an end of
+    levels[j][pmask] or a jump from one of levels[j - 1][pmask]."""
+    arc = int(levels[j][pmask]) & arc_in[w]
+    steps = arc | (int(levels[j - 1][pmask]) & jump_in[w] if j else 0)
+    if not steps:
+        return None
+    u = _lowest_bit_index(steps)
+    return u, j - (not arc >> u & 1)
+
+
+def _reconstruct_path(levels, arc_in, mask: int, last: int, j: int = 0, jump_in=None):
+    """The sequence over `mask` that ends at `last` with j jumps, rebuilt
+    backwards from the tables, smallest predecessor first."""
+    seq = [last]
+    while mask & (mask - 1):
+        mask ^= 1 << seq[-1]
+        step = _predecessor(levels, j, mask, seq[-1], arc_in, jump_in)
+        if step is None:
+            raise CertificateError(f"the subset table has no predecessor of vertex {seq[-1] + 1}")
+        seq.append(step[0])
+        j = step[1]
+    return seq[::-1]
+
+
+def _fewest_jumps(d: PartitionedDigraph, starts, close: bool, cap: int):
+    """(levels, seq) for the fewest jumps J of a spanning legal sequence from
+    one of `starts` (0-based) that, with `close`, then steps into starts[0],
+    or None past `cap` jumps.  Bit v of levels[j][mask] marks one over `mask`
+    ending at v with at most j jumps; level j+1 pushes only the ends new at
+    j+1 (along arcs) and at j (along jumps).  seq has J jumps; ties go to the
+    smallest last vertex, then the smallest predecessor."""
+    n, full = d.n, (1 << d.n) - 1
+    arc_in, jump_in = d.in_masks, _jump_in(d)
+    level, ends = np.zeros(1 << n, dtype=np.uint32), 1 << np.array(starts)
+    level[ends] = ends
+    _push_layers(n, level, arc_in)
+    levels, grew = [level], True
+    while True:
+        j = len(levels) - 1
+        last = (_predecessor(levels, j, full, starts[0], arc_in, jump_in) if close
+                else levels[j][full] and (_lowest_bit_index(int(levels[j][full])), j))
+        if last:
+            return levels, _reconstruct_path(levels, arc_in, full, *last, jump_in)
+        if j >= cap or not grew:   # a level that adds nothing ends the growth
+            return None
+        level = levels[j].copy()
+        _push_layers(n, level, arc_in, jump_in, levels[j], levels[j - 1] if j else None)
+        grew = not np.array_equal(level, levels[j])
+        levels.append(level)
+
+
 # -- Hamiltonian cycle / prescribed-end Hamiltonian path ------------------
 
 
@@ -65,47 +178,8 @@ def _reach_dp_fast(n: int, in_mask, start: int) -> np.ndarray:
     0-based predecessors of w."""
     dp = np.zeros(1 << n, dtype=np.uint32)
     dp[1 << start] = np.uint32(1 << start)
-    layers = _popcount_layers(n)
-    in_arr = [np.uint32(x & 0xFFFFFFFF) for x in in_mask]
-    for p in range(1, n):
-        layer = layers[p].astype(np.intp)
-        sub = layer[dp[layer] != 0]
-        if sub.size == 0:
-            continue
-        ends = dp[sub]
-        for w in range(n):
-            if w == start:
-                continue
-            bw = 1 << w
-            free = (sub & bw) == 0
-            if not free.any():
-                continue
-            ok = free & ((ends & in_arr[w]) != 0)
-            if not ok.any():
-                continue
-            dp[sub[ok] | bw] |= np.uint32(bw)
+    _push_layers(n, dp, in_mask)
     return dp
-
-
-def _lowest_bit_index(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
-def _reconstruct_path(dp: np.ndarray, in_mask, start: int, last: int, full: int):
-    """Walk the reachability table backwards, smallest predecessor first."""
-    seq = []
-    mask, cur = full, last
-    while cur != start or mask != (1 << start):
-        seq.append(cur)
-        pmask = mask ^ (1 << cur)
-        cands = int(dp[pmask]) & in_mask[cur]
-        if not cands:
-            raise CertificateError(f"reachability table has no predecessor of vertex {cur + 1}")
-        cur = _lowest_bit_index(cands)
-        mask = pmask
-    seq.append(start)
-    seq.reverse()
-    return seq
 
 
 def exact_ham_cycle(
@@ -113,17 +187,12 @@ def exact_ham_cycle(
 ) -> Optional[GWalk]:
     """Exact Hamiltonian-cycle search; accepts augmented instances."""
     _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
-    n = d.n
-    if n < 2:
+    if d.n < 2:
         return None
-    dp = _reach_dp_fast(n, d.in_masks, 0)
-    full = (1 << n) - 1
-    closers = int(dp[full]) & d.in_masks[0]
-    if closers == 0:
+    found = _fewest_jumps(d, [0], True, 0)
+    if found is None:
         return None
-    last = _lowest_bit_index(closers)
-    seq = _reconstruct_path(dp, d.in_masks, 0, last, full)
-    cyc = canonical_cycle(GWalk("cycle", tuple(v + 1 for v in seq)))
+    cyc = canonical_cycle(GWalk("cycle", tuple(v + 1 for v in found[1])))
     for u, v in cyc.pairs():
         if (u, v) not in d.arcs:
             raise CertificateError(f"Hamiltonian cycle uses the non-arc ({u},{v})")
@@ -143,17 +212,14 @@ def exact_xy_spanning_gpath(
         raise ValueError("endpoints must differ")
     _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
     n = d.n
-    part = d.part_vector
-    same = [0] * (d.c + 1)
-    for v in range(n):
-        same[part[v]] |= 1 << v
     # predecessors along an arc or a jump inside the partite set
-    in_mask = [(d.in_masks[v] | same[part[v]]) & ~(1 << v) for v in range(n)]
-    dp = _reach_dp_fast(n, in_mask, x - 1)
+    in_mask = [arcs | jumps for arcs, jumps in zip(d.in_masks, _jump_in(d))]
+    # y may only be the last step, so the table never enters it
+    dp = _reach_dp_fast(n, [0 if v == y - 1 else m for v, m in enumerate(in_mask)], x - 1)
     full = (1 << n) - 1
-    if not int(dp[full]) >> (y - 1) & 1:
+    if not int(dp[full ^ 1 << (y - 1)]) & in_mask[y - 1]:
         return None
-    seq = _reconstruct_path(dp, in_mask, x - 1, y - 1, full)
+    seq = _reconstruct_path([dp], in_mask, full, y - 1)
     walk = GWalk("path", tuple(v + 1 for v in seq))
     validate_walk(d, walk)
     if walk.seq[0] != x or walk.seq[-1] != y or len(walk.seq) != n:
@@ -164,59 +230,26 @@ def exact_xy_spanning_gpath(
 # -- longest-walk oracles --------------------------------------------------
 
 
-def _max_arc_walk(d: PartitionedDigraph, starts, close: bool) -> Optional[Tuple[int, GWalk]]:
+def _max_arc_walk(
+    d: PartitionedDigraph, starts, close: bool, cap: Optional[int] = None
+) -> Optional[Tuple[int, GWalk]]:
     """(max arcs, witness) over spanning legal sequences from one of `starts`
-    (0-based), or None; with `close` the one start is also the last step's
-    head, so the sequence is a cycle.
-
-    dp[mask, v] is the most arcs on a legal sequence that starts in `starts`,
-    visits exactly `mask` and ends at v; a cell is alive when it is >= 0.
-    Ties go to the smallest last vertex, then the smallest predecessor.
-    """
+    (0-based), or None, also past `cap` jumps; with `close` the one start is
+    also the last step's head, so the sequence is a cycle.  Every step is an
+    arc or a jump, so the most arcs is n - J on a cycle and n - 1 - J on a
+    path, for the fewest jumps J."""
     n = d.n
-    # 1 for an arc, 0 for a same-partite jump, -_BIG for a forbidden pair
-    cost = np.array(factor_mod.completion_costs(d))
-    gain = np.where(cost >= factor_mod.INF, -_BIG, 1 - cost).astype(np.int32)
-    layers = _popcount_layers(n)
-    dp = np.full((1 << n, n), -_BIG, dtype=np.int32)
-    for v in starts:
-        dp[1 << v, v] = 0
-    for p in range(1, n):
-        layer = layers[p].astype(np.intp)
-        alive = layer[(dp[layer] >= 0).any(axis=1)]
-        if alive.size == 0:
-            continue
-        block = dp[alive]
-        for w in range(n):
-            bw = 1 << w
-            free = (alive & bw) == 0
-            if not free.any():
-                continue
-            best = (block[free] + gain[:, w][None, :]).max(axis=1)
-            ok = best >= 0
-            if not ok.any():
-                continue
-            targets = alive[free][ok] | bw
-            dp[targets, w] = np.maximum(dp[targets, w], best[ok])
-    full = (1 << n) - 1
-    totals = dp[full] + gain[:, starts[0]] if close else dp[full]
-    arcs = int(totals.max())
-    if arcs < 0:
+    found = _fewest_jumps(d, starts, close, n if cap is None else cap)
+    if found is None:
         return None
-    # a longest generalized path can always be grown to a spanning one
-    if not close and arcs != int(dp.max()):
-        raise CertificateError("no spanning generalized path attains the maximum arc count")
-    cur = int(totals.argmax())
-    seq, mask = [cur], full
-    while mask & (mask - 1):
-        pmask = mask ^ (1 << cur)
-        cand = np.flatnonzero(dp[pmask] + gain[:, cur] == dp[mask, cur])
-        if not cand.size:
-            raise CertificateError(f"max-arc table has no predecessor of vertex {cur + 1}")
-        cur = int(cand[0])
-        mask = pmask
-        seq.append(cur)
-    seq = tuple(v + 1 for v in reversed(seq))
+    levels, seq = found[0], tuple(v + 1 for v in found[1])
+    jumps = len(levels) - 1
+    arcs = (n if close else n - 1) - jumps
+    # a longest generalized path can always be grown to a spanning one: no
+    # level may hold a shorter path with more arcs
+    for j, level in enumerate([] if close else levels[:-1]):
+        if int(np.bitwise_count(np.flatnonzero(level)).max()) - j > n - jumps:
+            raise CertificateError("no spanning generalized path attains the maximum arc count")
     walk = canonical_cycle(GWalk("cycle", seq)) if close else GWalk("path", seq)
     if walk_length(d, walk) != arcs:
         raise CertificateError(f"the max-arc {walk.kind} does not have {arcs} arcs")
@@ -256,10 +289,12 @@ def spanning_gcycle_at_least(
     Hamiltonian cycle of the instance augmented at a terminal set X decodes
     to one with at least n-|X| arcs.  So no bound, or a bound below n-k, is
     a "no" at any n, and only the sizes k' = max(0, n - bound)..k meet the
-    size cap: for each, every terminal set X of size k' in ascending
-    lexicographic order, augmenting the instance and running the exact
-    Hamiltonian engine.  The first witness found is decoded back: arcs the
-    base lacks become jumps.
+    size cap.  A set of size k' yields a witness exactly when a spanning
+    generalized cycle makes at most k' jumps: the fewest jumps J > k is a
+    "no" without enumeration, and each size k' = max(0, n - bound, J)..k
+    runs every terminal set X of size k' in ascending lexicographic order,
+    augmenting the instance and running the exact Hamiltonian engine.  The
+    first witness found is decoded back: arcs the base lacks become jumps.
     """
     d.require_smd()
     if k < 0:
@@ -273,8 +308,11 @@ def spanning_gcycle_at_least(
     if k_min > k:
         return None
     _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
+    found = _fewest_jumps(d, [0], True, k)
+    if found is None:
+        return None
     verts = sorted(d.vertices())
-    for k2 in range(k_min, k + 1):
+    for k2 in range(max(k_min, len(found[0]) - 1), k + 1):
         for x_set in combinations(verts, k2):
             dx = augment_terminals(d, x_set)
             cyc = exact_ham_cycle(dx, threshold)

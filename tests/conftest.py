@@ -3,7 +3,8 @@ hypothesis settings profile.
 
 The brute-force routines here enumerate permutations and subsets directly,
 and the re-solve lex-min, the 0-1 BFS, the unpruned terminal-set enumeration
-the per-pair completion grid and the fully built splice candidates are the
+the per-pair completion grid, the fully built splice candidates, the int32
+max-arc subset table and the mask-by-mask reachability table are the
 plain algorithms the packaged engines replaced; they exist to validate the packaged engines and must stay
 independent of them."""
 
@@ -218,6 +219,70 @@ def reference_spanning_gcycle_at_least(d, k):
             if cyc is not None:
                 return canonical_cycle(GWalk("cycle", cyc.seq))
     return None
+
+
+def reference_max_arc_walk(d, starts, close):
+    """(max arcs, witness) over spanning legal sequences from one of `starts`
+    (0-based), or None; with `close` a cycle through starts[0].
+
+    The int32 table the jump levels replaced: dp[mask, v] is the most arcs
+    on a legal sequence from `starts` over exactly `mask` ending at v, one
+    n-way max per cell.  Ties go to the smallest last vertex, then the
+    smallest predecessor."""
+    n, dead = d.n, -10 ** 6
+    cost = np.array(reference_completion_costs(d))
+    gain = np.where(cost >= 10 ** 9, dead, 1 - cost).astype(np.int32)
+    popcount = np.array([bin(m).count("1") for m in range(1 << n)])
+    dp = np.full((1 << n, n), dead, dtype=np.int32)
+    for v in starts:
+        dp[1 << v, v] = 0
+    for p in range(1, n):
+        layer = np.flatnonzero(popcount == p)
+        alive = layer[(dp[layer] >= 0).any(axis=1)]
+        for w in range(n):
+            free = alive[(alive & (1 << w)) == 0]
+            if free.size:
+                best = (dp[free] + gain[:, w][None, :]).max(axis=1)
+                ok = best >= 0
+                targets = free[ok] | (1 << w)
+                dp[targets, w] = np.maximum(dp[targets, w], best[ok])
+    full = (1 << n) - 1
+    totals = dp[full] + gain[:, starts[0]] if close else dp[full]
+    arcs = int(totals.max())
+    if arcs < 0:
+        return None
+    cur = int(totals.argmax())
+    seq, mask = [cur], full
+    while mask & (mask - 1):
+        pmask = mask ^ (1 << cur)
+        cur = int(np.flatnonzero(dp[pmask] + gain[:, cur] == dp[mask, cur])[0])
+        mask = pmask
+        seq.append(cur)
+    seq = tuple(v + 1 for v in reversed(seq))
+    return arcs, canonical_cycle(GWalk("cycle", seq)) if close else GWalk("path", seq)
+
+
+def reference_xy_spanning_gpath(d, x, y):
+    """The spanning (x,y)-walk of the full reachability table, mask by mask
+    in ascending order, rebuilt from y backwards with the smallest
+    predecessor first; None when y ends no spanning walk from x."""
+    n = d.n
+    pred = [[u for u in range(n) if u != w and step_ok(d, u + 1, w + 1)] for w in range(n)]
+    dp = [0] * (1 << n)
+    dp[1 << (x - 1)] = 1 << (x - 1)
+    for mask in range(1 << n):
+        for w in range(n):
+            if not mask >> w & 1 and any(dp[mask] >> u & 1 for u in pred[w]):
+                dp[mask | 1 << w] |= 1 << w
+    mask, cur = (1 << n) - 1, y - 1
+    if not dp[mask] >> cur & 1:
+        return None
+    seq = [cur]
+    while mask != 1 << (x - 1):
+        mask ^= 1 << cur
+        cur = min(u for u in pred[cur] if dp[mask] >> u & 1)
+        seq.append(cur)
+    return GWalk("path", tuple(v + 1 for v in reversed(seq)))
 
 
 def fig1_digraph():

@@ -1,9 +1,10 @@
 import pytest
 
-from gmpd import cli, digraph, extended, irreducible
+from gmpd import cli, digraph, extended, irreducible, walks
 from gmpd.digraph import PartitionedDigraph, augment_terminals, is_strong
 from gmpd.errors import (
     AugmentedInput,
+    IllegalPair,
     NotBipartite,
     NotSemicomplete,
     NotStrong,
@@ -313,6 +314,33 @@ def test_strong_route_validates_once(monkeypatch):
         calls.clear()
         spanning_gcycle_strong(d)
         assert len(calls) == 1
+
+
+def test_strong_route_validates_the_factor_once(monkeypatch):
+    """max_arc_gcycle_factor validates its cycles; the strong route reads the
+    arc count and orders the factor without checking them again, while the
+    public make_irreducible keeps its check."""
+    factors, checked = [], []
+
+    def spy_factor(d, _fn=irreducible.max_arc_gcycle_factor):
+        factors.append(_fn(d))
+        return factors[-1]
+
+    def spy_walk(d, w, _fn=walks.validate_walk):
+        checked.append(w)
+        return _fn(d, w)
+
+    monkeypatch.setattr(irreducible, "max_arc_gcycle_factor", spy_factor)
+    monkeypatch.setattr(walks, "validate_walk", spy_walk)
+    d = random_smd_digraph(12, 3, 0.4, 7)
+    spanning_gcycle_strong(d)
+    assert len(factors[0].cycles) == 4
+    assert [sum(w is c for w in checked) for c in factors[0].cycles] == [1] * 4
+    # (7, 9) joins two partite sets without an arc
+    cycles = list(factors[0].cycles)
+    cycles[2] = GWalk("cycle", (4, 7, 9, 6))
+    with pytest.raises(IllegalPair):
+        make_irreducible(d, GFactor(tuple(cycles)))
 
 
 def test_strong_route_errors_keep_their_order():

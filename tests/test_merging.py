@@ -69,6 +69,15 @@ def test_no_loss_merge_matches_min_jump_oracle(d, drop):
         assert got is None
 
 
+@settings(max_examples=60)
+@given(unions, st.integers(0, 15), st.integers(1, 3))
+def test_lossy_merge_matches_min_jump_oracle(d, drop, loss):
+    # below the union's size the exact search may use loss jumps, no more
+    vertices = {v for v in d.vertices() if not drop >> (v - 1) & 1} or set(d.vertices())
+    floor = len(vertices) - loss
+    assert merging._dp_merge(d, vertices, floor) == min_jump_merge(d, vertices, floor)
+
+
 def tournament_blocks(back_arc: bool) -> PartitionedDigraph:
     """Two 10-vertex strong tournaments, the first dominating the second,
     optionally closed by one arc back."""

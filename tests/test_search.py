@@ -20,7 +20,9 @@ from conftest import (
     brute_longest_spanning_gcycle,
     random_smd_digraph,
     reference_jump_distances,
+    reference_max_arc_walk,
     reference_spanning_gcycle_at_least,
+    reference_xy_spanning_gpath,
 )
 
 
@@ -35,6 +37,31 @@ def test_threshold_resolution_order(monkeypatch):
 def test_too_large_raised(fig1):
     with pytest.raises(TooLarge):
         exact_ham_cycle(fig1, threshold=3)
+
+
+@pytest.mark.parametrize("explicit", [True, False])
+def test_word_width_guard_refuses_before_allocating(monkeypatch, explicit):
+    """A table keeps a subset's ends in one uint32 word, so a threshold past
+    31 still refuses 32 vertices, before any table is built."""
+    from gmpd import search
+
+    def no_table(*args):
+        raise AssertionError("a subset table was built")
+
+    for name in ("_popcount_layers", "_push_layers", "_reach_dp_fast", "_fewest_jumps"):
+        monkeypatch.setattr(search, name, no_table)
+    monkeypatch.setenv("GMPD_EXACT_THRESHOLD", "40")
+    threshold = 40 if explicit else None
+    d = random_smd_digraph(32, 4, 0.5, 3)
+    assert jump_metrics(d).bound == 32
+    for call in (lambda: exact_ham_cycle(d, threshold),
+                 lambda: exact_xy_spanning_gpath(d, 1, 2, threshold),
+                 lambda: oracle_longest_spanning_gcycle(d, threshold),
+                 lambda: oracle_longest_gpath(d, threshold),
+                 lambda: spanning_gcycle_at_least(d, 1, threshold)):
+        with pytest.raises(TooLarge) as err:
+            call()
+        assert (err.value.n, err.value.threshold) == (32, 31)
 
 
 def test_fig1_ham_cycle_canonical(fig1):
@@ -97,6 +124,13 @@ ORACLE_WITNESSES = {
     "transitive_5": (lambda: PartitionedDigraph(
                          [1, 2, 3, 4, 5], [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]),
                      None, (4, (1, 2, 3, 4, 5))),
+    # seven jumps: the deepest jump levels of the benchmark's instances
+    "noclose_1_8": (lambda: noclose(1, 8).digraph,
+                    (8, (1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 15, 2)),
+                    (14, (2, 4, 6, 8, 10, 12, 14, 15, 1, 3, 5, 7, 9, 11, 13))),
+    "one_vertex": (lambda: PartitionedDigraph([1], []), None, (0, (1,))),
+    "two_jumps": (lambda: PartitionedDigraph([1, 1], []), (0, (1, 2)), (0, (2, 1))),
+    "one_arc": (lambda: PartitionedDigraph([1, 2], [(1, 2)]), None, (1, (1, 2))),
 }
 
 
@@ -139,6 +173,25 @@ def test_at_least_matches_oracle():
 def random_smds(low, high):
     return st.builds(random_smd_digraph, n=st.integers(low, high), c=st.integers(1, 5),
                      density=st.sampled_from([0.0, 0.2, 0.5]), seed=st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=150)
+@given(st.builds(random_smd_digraph, n=st.sampled_from(range(1, 11)),
+                 c=st.sampled_from([2, 3, 4, 10]), density=st.sampled_from([0.0, 0.2, 0.35, 0.5]),
+                 seed=st.integers(0, 10 ** 6)),
+       st.integers(0, 3))
+def test_jump_levels_match_the_int32_table(d, k):
+    """Both oracles, the prescribed-end walks and the n-k decision give the
+    verdicts and witnesses of the tables the jump levels replaced."""
+    cycle = reference_max_arc_walk(d, [0], close=True)
+    assert oracle_longest_spanning_gcycle(d, threshold=10) == cycle
+    assert oracle_longest_gpath(d, threshold=10) == reference_max_arc_walk(d, range(d.n), False)
+    if d.n > 1:
+        for x, y in sorted({(1, d.n), (d.n, 1), (d.n // 2 + 1, d.n // 3 + 1)}):
+            assert x == y or exact_xy_spanning_gpath(d, x, y) == reference_xy_spanning_gpath(d, x, y)
+    got = spanning_gcycle_at_least(d, k)
+    assert got == reference_spanning_gcycle_at_least(d, k)
+    assert (got is not None) == (cycle is not None and cycle[0] >= d.n - k)
 
 
 def shared_dominating_union(a, b):
