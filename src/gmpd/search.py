@@ -5,9 +5,11 @@ Every subset dynamic program runs on one kernel over tables of one uint32
 word per vertex subset (the possible last vertices), vectorized over each
 popcount layer, so no engine takes more than 31 vertices.  The longest-walk
 oracles and the n-k decision count jumps, not arcs: level j of their table
-holds the ends reached with at most j jumps.  Thresholds are configuration:
-an explicit argument wins, then the GMPD_EXACT_THRESHOLD environment
-variable, then the per-engine default.
+holds the ends reached with at most j jumps.  The n-k decision runs the
+Hamiltonian engine only on terminal sets of J feasible jump tails, for the
+fewest jumps J, read off those levels and the levels of the reversed
+instance.  Thresholds are configuration: an explicit argument wins, then
+the GMPD_EXACT_THRESHOLD environment variable, then the per-engine default.
 """
 
 import os
@@ -46,7 +48,7 @@ def _check_size(n: int, default: int, override: Optional[int]):
         raise TooLarge(n, limit)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_WORD_CAP + 1)   # one entry per size an engine accepts
 def _popcount_layers(n: int):
     """The subsets of n vertices (n < 32) as int32 masks, by popcount.
 
@@ -142,31 +144,64 @@ def _reconstruct_path(levels, arc_in, mask: int, last: int, j: int = 0, jump_in=
     return seq[::-1]
 
 
-def _fewest_jumps(d: PartitionedDigraph, starts, close: bool, cap: int):
-    """(levels, seq) for the fewest jumps J of a spanning legal sequence from
-    one of `starts` (0-based) that, with `close`, then steps into starts[0],
-    or None past `cap` jumps.  Bit v of levels[j][mask] marks one over `mask`
-    ending at v with at most j jumps; level j+1 pushes only the ends new at
-    j+1 (along arcs) and at j (along jumps).  seq has J jumps; ties go to the
-    smallest last vertex, then the smallest predecessor."""
-    n, full = d.n, (1 << d.n) - 1
-    arc_in, jump_in = d.in_masks, _jump_in(d)
+def _jump_levels(n: int, arc_in, jump_in, starts):
+    """Yield the list of jump levels from `starts` (0-based) each time it
+    grows by one.  Bit v of levels[j][mask] marks a legal sequence over
+    `mask` from a start to v with at most j jumps; level j+1 pushes only the
+    ends new at j+1 (along arcs) and at j (along jumps).  Once a level adds
+    nothing, every later level is that same array."""
     level, ends = np.zeros(1 << n, dtype=np.uint32), 1 << np.array(starts)
     level[ends] = ends
     _push_layers(n, level, arc_in)
     levels, grew = [level], True
     while True:
+        yield levels
+        if grew:
+            j = len(levels) - 1
+            level = levels[j].copy()
+            _push_layers(n, level, arc_in, jump_in, levels[j], levels[j - 1] if j else None)
+            grew = not np.array_equal(level, levels[j])
+        levels.append(level if grew else levels[-1])
+
+
+def _fewest_jumps(d: PartitionedDigraph, starts, close: bool, cap: int):
+    """(levels, seq) for the fewest jumps J of a spanning legal sequence from
+    one of `starts` (0-based) that, with `close`, then steps into starts[0],
+    or None past `cap` jumps.  seq has J jumps; ties go to the smallest last
+    vertex, then the smallest predecessor."""
+    full = (1 << d.n) - 1
+    arc_in, jump_in = d.in_masks, _jump_in(d)
+    for levels in _jump_levels(d.n, arc_in, jump_in, starts):
         j = len(levels) - 1
         last = (_predecessor(levels, j, full, starts[0], arc_in, jump_in) if close
                 else levels[j][full] and (_lowest_bit_index(int(levels[j][full])), j))
         if last:
             return levels, _reconstruct_path(levels, arc_in, full, *last, jump_in)
-        if j >= cap or not grew:   # a level that adds nothing ends the growth
+        if j >= cap or j and levels[j] is levels[j - 1]:   # the levels stopped growing
             return None
-        level = levels[j].copy()
-        _push_layers(n, level, arc_in, jump_in, levels[j], levels[j - 1] if j else None)
-        grew = not np.array_equal(level, levels[j])
-        levels.append(level)
+
+
+def _tail_mask(d: PartitionedDigraph, levels) -> int:
+    """The 0-based vertices x that jump on some spanning legal cycle with the
+    fewest jumps J = len(levels) - 1, from the cycle levels through 0: a
+    sequence from 0 over S to x with j jumps (levels[j][S]), a jump from x
+    to a partite mate z outside S, and a sequence from z over the rest and 0
+    into 0 with J - 1 - j jumps (the levels from 0 along reversed arcs).
+    S = every vertex leaves z = 0: the jump closes the cycle.  No cycle of
+    fewer jumps exists, so every such split has exactly J."""
+    jumps = len(levels) - 1
+    if not jumps:
+        return 0
+    jump_in = _jump_in(d)
+    rev = next(r for r in _jump_levels(d.n, d.out_masks, jump_in, [0]) if len(r) >= jumps)
+    parts = {mates | 1 << v for v, mates in enumerate(jump_in)}
+    tails = 0
+    for j in range(jumps):
+        # the masks S that hold 0, ascending, pair with (full ^ S) | 1, descending
+        ends, heads = levels[j][1::2], rev[jumps - 1 - j][::-2]
+        for members in parts:
+            tails |= int(np.bitwise_or.reduce(ends[(heads & members) != 0])) & members
+    return tails
 
 
 # -- Hamiltonian cycle / prescribed-end Hamiltonian path ------------------
@@ -288,13 +323,13 @@ def spanning_gcycle_at_least(
     No spanning generalized cycle has more than min{n-N, c_f} arcs, and a
     Hamiltonian cycle of the instance augmented at a terminal set X decodes
     to one with at least n-|X| arcs.  So no bound, or a bound below n-k, is
-    a "no" at any n, and only the sizes k' = max(0, n - bound)..k meet the
-    size cap.  A set of size k' yields a witness exactly when a spanning
-    generalized cycle makes at most k' jumps: the fewest jumps J > k is a
-    "no" without enumeration, and each size k' = max(0, n - bound, J)..k
-    runs every terminal set X of size k' in ascending lexicographic order,
-    augmenting the instance and running the exact Hamiltonian engine.  The
-    first witness found is decoded back: arcs the base lacks become jumps.
+    a "no" at any n; every other case meets the size cap.  A cycle with the
+    fewest jumps J makes n-J arcs, so J > k is a "no"; otherwise the sets
+    that yield a Hamiltonian cycle at the first size that can, J, are the
+    jump-tail sets of J-jump cycles.  Only the size-J sets of feasible jump
+    tails (`_tail_mask`) run, in ascending lexicographic order, each on the
+    augmented instance with the exact Hamiltonian engine, and the first
+    witness found is decoded back: arcs the base lacks become jumps.
     """
     d.require_smd()
     if k < 0:
@@ -302,28 +337,28 @@ def spanning_gcycle_at_least(
     if k > k_cap:
         raise TooLarge(k, k_cap)
     bound = jump_metrics(d).bound
-    if bound is None:
-        return None
-    k_min = max(0, d.n - bound)
-    if k_min > k:
+    if bound is None or d.n - bound > k:
         return None
     _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
     found = _fewest_jumps(d, [0], True, k)
     if found is None:
         return None
-    verts = sorted(d.vertices())
-    for k2 in range(max(k_min, len(found[0]) - 1), k + 1):
-        for x_set in combinations(verts, k2):
-            dx = augment_terminals(d, x_set)
-            cyc = exact_ham_cycle(dx, threshold)
-            if cyc is None:
-                continue
-            walk = canonical_cycle(GWalk("cycle", cyc.seq))
-            got = walk_length(d, walk)
-            if got < d.n - k2:
-                raise CertificateError(f"the decoded cycle has {got} arcs, fewer than {d.n - k2}")
-            return walk
-    return None
+    levels, seq = found
+    jumps = len(levels) - 1
+    if d.n - bound > jumps:
+        raise CertificateError(f"a cycle with {jumps} jumps beats the bound {bound}")
+    tails, part = _tail_mask(d, levels), d.part_vector
+    if any(part[u] == part[v] and not tails >> u & 1 for u, v in zip(seq, seq[1:] + seq[:1])):
+        raise CertificateError("a fewest-jump cycle jumps from outside the tail mask")
+    for x_set in combinations([v + 1 for v in _bits(tails)], jumps):
+        cyc = exact_ham_cycle(augment_terminals(d, x_set), threshold)
+        if cyc is None:
+            continue
+        got = walk_length(d, cyc)
+        if got < d.n - jumps:
+            raise CertificateError(f"the decoded cycle has {got} arcs, fewer than {d.n - jumps}")
+        return cyc
+    raise CertificateError(f"no set of {jumps} jump tails yields a Hamiltonian cycle")
 
 
 # -- jump metrics ----------------------------------------------------------

@@ -1,8 +1,12 @@
+from itertools import combinations
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmpd import search
 from gmpd.digraph import PartitionedDigraph, augment_terminals, is_k_strong, is_strong
-from gmpd.errors import TooLarge
+from gmpd.errors import CertificateError, TooLarge
 from gmpd.generators import fig1 as fig1_instance, fig2, noclose
 from gmpd.search import (
     exact_ham_cycle,
@@ -234,6 +238,71 @@ def test_at_least_named_instances_match_reference(name):
     d, k_max = NAMED[name]
     for k in range(k_max + 1):
         assert spanning_gcycle_at_least(d, k) == reference_spanning_gcycle_at_least(d, k), k
+
+
+@settings(max_examples=80)
+@given(st.one_of(random_smds(1, 10), st.builds(shared_dominating_union, random_smds(1, 5),
+                                                random_smds(1, 5))))
+def test_tail_mask_is_the_union_of_the_working_sets(d):
+    """The tail mask holds exactly the vertices of the terminal sets, at the
+    first size where any works, whose augmented instance is Hamiltonian."""
+    working = []
+    for size in range(d.n + 1):
+        working = [x_set for x_set in combinations(range(1, d.n + 1), size)
+                   if exact_ham_cycle(augment_terminals(d, x_set), threshold=d.n) is not None]
+        if working:
+            break
+    found = search._fewest_jumps(d, [0], True, d.n)
+    assert (found is None) == (not working)
+    if found:
+        assert len(found[0]) - 1 == size
+        assert search._tail_mask(d, found[0]) == sum({1 << v - 1 for x in working for v in x})
+
+
+def test_at_least_searches_one_terminal_set_on_fig2(monkeypatch):
+    """fig2 needs two jumps; its tail mask is {7-12, 15, 16}, and the first
+    pair it admits, (7, 8), is the one whose augmented instance answers."""
+    d, calls = fig2().digraph, []
+
+    def spy(dx, threshold=None):
+        calls.append(sorted(dx.arcs - d.arcs))
+        return exact_ham_cycle(dx, threshold)
+
+    levels = search._fewest_jumps(d, [0], True, 2)[0]
+    assert search._tail_mask(d, levels) == sum(1 << v - 1 for v in (7, 8, 9, 10, 11, 12, 15, 16))
+    monkeypatch.setattr(search, "exact_ham_cycle", spy)
+    got = spanning_gcycle_at_least(d, 2)
+    assert len(calls) == 1 and {u for u, _ in calls[0]} == {7, 8}
+    assert got == reference_spanning_gcycle_at_least(d, 2)
+
+
+def _witness_tails_dropped(d, levels, tail_mask=search._tail_mask):
+    seq, part = search._fewest_jumps(d, [0], True, d.n)[1], d.part_vector
+    own = sum(1 << u for u, v in zip(seq, seq[1:] + seq[:1]) if part[u] == part[v])
+    return tail_mask(d, levels) & ~own
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_tail_mask", _witness_tails_dropped),                       # a mask that misses a tail
+    ("exact_ham_cycle", lambda dx, threshold=None: None),         # no set answers
+    ("jump_metrics", lambda d: SimpleNamespace(bound=d.n - 3)),   # a bound below n - J
+])
+def test_at_least_raises_when_the_enumeration_contradicts_the_levels(monkeypatch, name, value):
+    """A failed certificate raises; it never reads as a "no"."""
+    monkeypatch.setattr(search, name, value)
+    with pytest.raises(CertificateError):
+        spanning_gcycle_at_least(fig2().digraph, 3)
+
+
+def test_popcount_layers_keep_every_size():
+    """The layer cache holds one entry per size, so a second pass over more
+    sizes than the old eight-entry cache held rebuilds nothing."""
+    search._popcount_layers.cache_clear()
+    sizes = range(3, 13)
+    for _ in range(2):
+        for n in sizes:
+            exact_ham_cycle(random_smd_digraph(n, 3, 0.3, n))
+    assert search._popcount_layers.cache_info().misses == len(sizes)
 
 
 def test_at_least_bound_decides_no_past_the_size_cap():
