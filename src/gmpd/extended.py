@@ -1,122 +1,79 @@
 """Cycle merging and maximum-arc spanning cycles in extended semicomplete
-digraphs, where same-partite vertices share all in- and out-neighbours."""
+digraphs, where same-partite vertices share all in- and out-neighbours.
 
-from typing import List, Optional, Tuple
+In such a digraph two disjoint cycles that meet a common partite set, or
+that have arcs both ways between them, always merge without losing an arc
+by a splice with two junctions, so every merge here is `merging`'s certified
+scan at the floor of their summed arcs.  The spanning-cycle route validates
+its instance once and its merges validate nothing again."""
 
-from .digraph import PartitionedDigraph, is_strong, validate
+from itertools import combinations, permutations
+from typing import Optional
+
+from .construct import tournament_ham_cycle
+from .digraph import PartitionedDigraph, ValidationReport, validate
 from .errors import CertificateError, NoSharedPartite, NotExtended, OneDirectional
 from .factor import max_arc_gcycle_factor
-from .merging import certified_merge_cycles
-from .walks import GWalk, canonical_cycle, validate_walk, walk_length
+from .merging import _merge_legal
+from .walks import GWalk, arc_count, canonical_cycle, validate_walk, walk_length
 
 
-def require_extended(d: PartitionedDigraph):
+def require_extended(d: PartitionedDigraph) -> ValidationReport:
     report = validate(d)
     if not (report.is_smd and report.is_extended):
         raise NotExtended(f"instance is not an extended semicomplete digraph: {report}")
+    return report
 
 
-def _rotate_to(seq: tuple, idx: int) -> tuple:
-    return seq[idx:] + seq[:idx]
+def _shares_part(d: PartitionedDigraph, a: GWalk, b: GWalk) -> bool:
+    return not {d.part(u) for u in a.seq}.isdisjoint({d.part(v) for v in b.seq})
 
 
-def merge_same_partite(d: PartitionedDigraph, c1: GWalk, c2: GWalk) -> GWalk:
-    """Merge two disjoint cycles that meet a common partite set; the result
-    keeps exactly the sum of their arc counts."""
+def _both_ways(d: PartitionedDigraph, a: GWalk, b: GWalk) -> bool:
+    """Whether some arc leads from a into b and some arc from b into a."""
+    mask = sum(1 << (v - 1) for v in b.seq)
+    return (any(d.out_masks[u - 1] & mask for u in a.seq)
+            and any(d.in_masks[u - 1] & mask for u in a.seq))
+
+
+def _linked(d: PartitionedDigraph, a: GWalk, b: GWalk) -> bool:
+    return _shares_part(d, a, b) or _both_ways(d, a, b)
+
+
+def _merge(d: PartitionedDigraph, c1: GWalk, c2: GWalk) -> GWalk:
+    """The no-loss merge of two disjoint legal cycles of an extended instance
+    that share a partite set or are linked both ways."""
+    floor = arc_count(d, c1.seq, True) + arc_count(d, c2.seq, True)
+    found = _merge_legal(d, c1, c2, floor)
+    if found is None:
+        raise CertificateError(f"the linked cycles have no merge keeping {floor} arcs")
+    return found[0]
+
+
+def _checked_pair(d: PartitionedDigraph, c1: GWalk, c2: GWalk):
     require_extended(d)
     validate_walk(d, c1)
     validate_walk(d, c2)
     if set(c1.seq) & set(c2.seq):
         raise ValueError("cycles must be vertex-disjoint")
-    shared = sorted(
-        {d.part(u) for u in c1.seq} & {d.part(v) for v in c2.seq}
-    )
-    if not shared:
+
+
+def merge_same_partite(d: PartitionedDigraph, c1: GWalk, c2: GWalk) -> GWalk:
+    """Merge two disjoint cycles that meet a common partite set; the result
+    keeps at least the sum of their arc counts."""
+    _checked_pair(d, c1, c2)
+    if not _shares_part(d, c1, c2):
         raise NoSharedPartite("cycles meet no common partite set")
-    target = walk_length(d, c1) + walk_length(d, c2)
-    # a cycle without arcs sits inside one partite set: splice it next to any
-    # vertex of that set on the other cycle
-    for trivial, other in ((c1, c2), (c2, c1)):
-        if walk_length(d, trivial) == 0:
-            v_part = d.part(trivial.seq[0])
-            k = next(i for i, v in enumerate(other.seq) if d.part(v) == v_part)
-            merged = GWalk("cycle", other.seq[: k + 1] + trivial.seq + other.seq[k + 1:])
-            break
-    else:
-        part = shared[0]
-        r = next(
-            i
-            for i, v in enumerate(c1.seq)
-            if d.part(v) == part and (c1.seq[i - 1], v) in d.arcs
-        )
-        s = next(
-            j
-            for j, v in enumerate(c2.seq)
-            if d.part(v) == part and (c2.seq[j - 1], v) in d.arcs
-        )
-        # swap entry points of the two similar vertices
-        merged = GWalk("cycle", _rotate_to(c1.seq, r) + _rotate_to(c2.seq, s))
-    if walk_length(d, merged) != target:
-        raise CertificateError(f"the same-partite merge does not keep {target} arcs")
-    return canonical_cycle(merged)
+    return _merge(d, c1, c2)
 
 
 def merge_bidirectional(d: PartitionedDigraph, c1: GWalk, c2: GWalk) -> GWalk:
     """Merge two disjoint cycles linked by arcs in both directions without
     losing arcs."""
-    require_extended(d)
-    validate_walk(d, c1)
-    validate_walk(d, c2)
-    if set(c1.seq) & set(c2.seq):
-        raise ValueError("cycles must be vertex-disjoint")
-    fwd = any((u, v) in d.arcs for u in c1.seq for v in c2.seq)
-    bwd = any((v, u) in d.arcs for u in c1.seq for v in c2.seq)
-    if not (fwd and bwd):
+    _checked_pair(d, c1, c2)
+    if not _both_ways(d, c1, c2):
         raise OneDirectional("need arcs in both directions between the cycles")
-    shared = {d.part(u) for u in c1.seq} & {d.part(v) for v in c2.seq}
-    if shared:
-        return merge_same_partite(d, c1, c2)
-    target = walk_length(d, c1) + walk_length(d, c2)
-
-    def dominating_splice(a: GWalk, b: GWalk) -> Optional[GWalk]:
-        p = len(a.seq)
-        for i, u in enumerate(a.seq):
-            if not all((u, v) in d.arcs for v in b.seq):
-                continue
-            nxt = a.seq[(i + 1) % p]
-            for j, v in enumerate(b.seq):
-                if (v, nxt) in d.arcs:
-                    seq = (u,) + _rotate_to(b.seq, (j + 1) % len(b.seq)) + _rotate_to(
-                        a.seq, (i + 1) % p
-                    )[:-1]
-                    return GWalk("cycle", seq)
-        return None
-
-    for a, b in ((c1, c2), (c2, c1)):
-        merged = dominating_splice(a, b)
-        if merged is not None:
-            if walk_length(d, merged) < target:
-                raise CertificateError(f"the dominating splice keeps fewer than {target} arcs")
-            return canonical_cycle(merged)
-    # both directions everywhere: every vertex of one cycle has a partner on
-    # the other, so partner insertion (or a wider splice search) applies
-    merged = certified_merge_cycles(d, c1, c2, target)
-    if merged is None:
-        raise CertificateError("bidirectionally linked cycles always merge")
-    return merged
-
-
-def _all_pairs_one_directional(d, cycles: List[GWalk]) -> bool:
-    for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
-            a, b = cycles[i], cycles[j]
-            fwd = any((u, v) in d.arcs for u in a.seq for v in b.seq)
-            bwd = any((v, u) in d.arcs for u in a.seq for v in b.seq)
-            if fwd and bwd:
-                return False
-            if {d.part(u) for u in a.seq} & {d.part(v) for v in b.seq}:
-                return False
-    return True
+    return _merge(d, c1, c2)
 
 
 def spanning_gcycle_extsd(d: PartitionedDigraph) -> Optional[GWalk]:
@@ -126,52 +83,33 @@ def spanning_gcycle_extsd(d: PartitionedDigraph) -> Optional[GWalk]:
     only, orders them along a Hamiltonian cycle of the contracted tournament,
     and concatenates; the result is certified equal to the factor maximum.
     """
-    require_extended(d)
-    if d.n < 2 or not is_strong(d):
+    return _spanning_gcycle_extsd(d, require_extended(d).is_strong)
+
+
+def _spanning_gcycle_extsd(d: PartitionedDigraph, strong: bool) -> Optional[GWalk]:
+    """spanning_gcycle_extsd for an instance already validated as extended."""
+    if d.n < 2 or not strong:
         return None
     factor = max_arc_gcycle_factor(d)
     cf = factor.arc_count(d)
     cycles = list(factor.cycles)
-    merged_any = True
-    while merged_any and len(cycles) > 1:
-        merged_any = False
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                a, b = cycles[i], cycles[j]
-                try:
-                    m = merge_same_partite(d, a, b)
-                except NoSharedPartite:
-                    try:
-                        m = merge_bidirectional(d, a, b)
-                    except OneDirectional:
-                        continue
-                cycles[i] = m
-                del cycles[j]
-                merged_any = True
-                break
-            if merged_any:
-                break
-    if len(cycles) == 1:
-        result = canonical_cycle(cycles[0])
-    else:
-        if not _all_pairs_one_directional(d, cycles):
-            raise CertificateError("the unmerged cycles are not pairwise one-directional")
-        k = len(cycles)
-        arcs = set()
-        for i in range(k):
-            for j in range(k):
-                if i != j and any(
-                    (u, v) in d.arcs for u in cycles[i].seq for v in cycles[j].seq
-                ):
-                    arcs.add((i + 1, j + 1))
-        tour = PartitionedDigraph(list(range(1, k + 1)), arcs)
-        from .construct import tournament_ham_cycle
-
-        order = tournament_ham_cycle(tour)
-        seq: Tuple[int, ...] = ()
-        for idx in order.seq:
-            seq = seq + cycles[idx - 1].seq
-        result = canonical_cycle(GWalk("cycle", seq))
+    while len(cycles) > 1:
+        pair = next(((i, j) for i, j in combinations(range(len(cycles)), 2)
+                     if _linked(d, cycles[i], cycles[j])), None)
+        if pair is None:
+            break
+        i, j = pair
+        cycles[i] = _merge(d, cycles[i], cycles[j])
+        del cycles[j]
+    if len(cycles) > 1:
+        # no two cycles left share a partite set or are linked both ways: they
+        # contract to a tournament, whose Hamiltonian cycle orders them
+        masks = [sum(1 << (v - 1) for v in c.seq) for c in cycles]
+        arcs = [(i + 1, j + 1) for i, j in permutations(range(len(cycles)), 2)
+                if any(d.out_masks[u - 1] & masks[j] for u in cycles[i].seq)]
+        order = tournament_ham_cycle(PartitionedDigraph(list(range(1, len(cycles) + 1)), arcs))
+        cycles = [GWalk("cycle", tuple(v for i in order.seq for v in cycles[i - 1].seq))]
+    result = canonical_cycle(cycles[0])
     got = walk_length(d, result)
     if got != cf or len(result.seq) != d.n:
         raise CertificateError(f"the spanning cycle has {got} arcs, not the factor's {cf}")

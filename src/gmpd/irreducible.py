@@ -272,9 +272,9 @@ def spanning_gcycle_strong(
     per_group_loss = 1 if cprime <= 1 else 2
     lower = cf - 1 if cprime <= 1 else cf - 2 * cprime
     if report.is_extended:
-        from .extended import spanning_gcycle_extsd
+        from .extended import _spanning_gcycle_extsd
 
-        cyc = spanning_gcycle_extsd(d)
+        cyc = _spanning_gcycle_extsd(d, report.is_strong)
         if cyc is None:
             raise CertificateError("a strong extended instance has no spanning cycle")
         cert = {

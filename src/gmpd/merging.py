@@ -1,5 +1,7 @@
 """Certified cycle-merge search shared by the extended-digraph and
-irreducible-factor engines.
+irreducible-factor engines.  Every merge of the extended route is
+`_merge_legal` at the floor of the two cycles' summed arcs; a two-junction
+splice always reaches it there.
 
 Both input cycles are validated first.  A no-loss merge (floor at least the
 union's size) must be a Hamiltonian cycle of real arcs on the induced union,

@@ -351,7 +351,9 @@ def spanning_gcycle_at_least(
     if any(part[u] == part[v] and not tails >> u & 1 for u, v in zip(seq, seq[1:] + seq[:1])):
         raise CertificateError("a fewest-jump cycle jumps from outside the tail mask")
     for x_set in combinations([v + 1 for v in _bits(tails)], jumps):
-        cyc = exact_ham_cycle(augment_terminals(d, x_set), threshold)
+        # J = 0 leaves only the empty set, whose witness is the fewest-jump cycle
+        cyc = (exact_ham_cycle(augment_terminals(d, x_set), threshold) if x_set
+               else canonical_cycle(GWalk("cycle", tuple(v + 1 for v in seq))))
         if cyc is None:
             continue
         got = walk_length(d, cyc)

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Tuple
 from .construct import longest_gpath
 from .digraph import PartitionedDigraph
 from .errors import CertificateError, CliqueViolation, NotSemicomplete
-from .extended import spanning_gcycle_extsd, require_extended
+from .extended import spanning_gcycle_extsd
 from .irreducible import spanning_gcycle_strong
 from .search import spanning_gcycle_at_least
 from .walks import GWalk, walk_length
@@ -133,7 +133,6 @@ def tour_cost(inst: ZOTSPInstance, mode: str, k: Optional[int] = None) -> dict:
     d = to_smd(inst)
     n = inst.n
     if mode == MODE_EXTENDED_EXACT:
-        require_extended(d)
         cyc = spanning_gcycle_extsd(d)
         if cyc is None:
             return {"mode": mode, "status": "no-tour"}

@@ -1,11 +1,18 @@
-import pytest
+from itertools import permutations
 
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from gmpd import cli, digraph, extended, irreducible, merging
 from gmpd.digraph import PartitionedDigraph, is_strong, validate
-from gmpd.errors import NoSharedPartite, NotExtended, OneDirectional
+from gmpd.errors import IllegalPair, NoSharedPartite, NotExtended, OneDirectional
 from gmpd.extended import merge_bidirectional, merge_same_partite, spanning_gcycle_extsd
-from gmpd.factor import c_f
+from gmpd.factor import c_f, max_arc_gcycle_factor
+from gmpd.generators import generate
+from gmpd.irreducible import spanning_gcycle_strong
 from gmpd.search import oracle_longest_spanning_gcycle
-from gmpd.walks import GWalk, cycle, validate_walk, walk_length
+from gmpd.tsp import MODE_EXTENDED_EXACT, ZOTSPInstance, tour_cost
+from gmpd.walks import GWalk, cycle, is_spanning, validate_walk, walk_length
 
 from conftest import random_extended_digraph
 
@@ -142,3 +149,110 @@ def test_spanning_cycle_equals_factor_and_oracle():
         res = oracle_longest_spanning_gcycle(d)
         assert res is not None and res[0] == want
     assert strong_seen >= 40
+
+
+def _legal_cycles(d, longest=3):
+    """Every legal cycle of 2 to `longest` vertices, once each."""
+    found = set()
+    for size in range(2, longest + 1):
+        for seq in permutations(d.vertices(), size):
+            if seq[0] == min(seq):
+                try:
+                    validate_walk(d, GWalk("cycle", seq))
+                except IllegalPair:
+                    continue
+                found.add(seq)
+    return [GWalk("cycle", seq) for seq in sorted(found)]
+
+
+def _linked(d, a, b):
+    shared = {d.part(u) for u in a.seq} & {d.part(v) for v in b.seq}
+    fwd = any((u, v) in d.arcs for u in a.seq for v in b.seq)
+    bwd = any((v, u) in d.arcs for u in a.seq for v in b.seq)
+    return bool(shared), fwd and bwd
+
+
+@given(st.data())
+def test_linked_cycles_merge_without_loss(data):
+    """Disjoint legal cycles that share a partite set or are linked both ways
+    merge into a legal cycle on their union with at least their summed arcs;
+    each public merge refuses a pair that misses its own hypothesis."""
+    d = data.draw(st.builds(random_extended_digraph, n_sets=st.integers(2, 5),
+                            max_size=st.integers(1, 3), seed=st.integers(0, 10 ** 6)))
+    cycles = _legal_cycles(d)
+    pairs = [(a, b) for a in cycles for b in cycles
+             if not set(a.seq) & set(b.seq) and any(_linked(d, a, b))]
+    assume(pairs)
+    for a, b in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6)):
+        shared, both_ways = _linked(d, a, b)
+        floor = walk_length(d, a) + walk_length(d, b)
+        for merge, applies, refusal in ((merge_same_partite, shared, NoSharedPartite),
+                                        (merge_bidirectional, both_ways, OneDirectional)):
+            if not applies:
+                with pytest.raises(refusal):
+                    merge(d, a, b)
+                continue
+            merged = merge(d, a, b)
+            assert merged.kind == "cycle" and set(merged.seq) == set(a.seq) | set(b.seq)
+            assert len(merged.seq) == len(a.seq) + len(b.seq)
+            assert walk_length(d, merged) >= floor
+
+
+def test_extended_route_merges_by_two_junction_splices(monkeypatch):
+    """On seeded draws up to n = 120 every merge of the route is won by the
+    two-junction scan: no later stage of the shared merge search runs."""
+    def refuse(name):
+        def stage(*args, **kwargs):
+            raise AssertionError(f"{name} ran on the extended route")
+        return stage
+
+    for name in ("insert_by_partners", "_interleave_four", "_two_block", "_dp_merge"):
+        monkeypatch.setattr(merging, name, refuse(name))
+    calls = []
+
+    def two_junction(*args, _fn=merging._interleave_two):
+        calls.append(len(args[1]) + len(args[2]))
+        return _fn(*args)
+
+    monkeypatch.setattr(merging, "_interleave_two", two_junction)
+    sizes = []
+    for params, count in ((["4", "3"], 40), (["8", "4"], 20), (["16", "8"], 12), (["30", "6"], 6)):
+        for seed in range(count):
+            d = generate("extended", params, seed=seed).digraph
+            if d.n > 120:
+                continue
+            sizes.append(d.n)
+            w = spanning_gcycle_extsd(d)
+            assert w is None or walk_length(d, w) == c_f(d)
+    assert max(sizes) > 100 and len(calls) > 100
+
+
+def test_large_extended_draw_reaches_the_factor_maximum():
+    d = generate("extended", ["60", "10"], seed=4).digraph
+    assert d.n == 294
+    w = spanning_gcycle_extsd(d)
+    assert is_spanning(d, w) and walk_length(d, w) == c_f(d)
+
+
+def test_extended_entries_validate_once(monkeypatch):
+    """The extended route, the strong route on an extended instance and the
+    extended-exact tour each classify the instance once.  tour_cost's other
+    call is to_smd's check that the weight-0 digraph it builds is an SMD."""
+    calls = []
+
+    def counting(d, _fn=digraph.validate):
+        calls.append(d)
+        return _fn(d)
+
+    for module in (digraph, irreducible, extended, cli):
+        monkeypatch.setattr(module, "validate", counting)
+    d = generate("extended", ["8", "4"], seed=3).digraph
+    assert len(max_arc_gcycle_factor(d).cycles) > 1
+    ones = {(u, v) for u in d.vertices() for v in d.vertices() if u != v and d.same_part(u, v)}
+    inst = ZOTSPInstance(d.n, frozenset(d.arcs | ones), frozenset(ones))
+    for entry, want in ((lambda: spanning_gcycle_extsd(d), 1),
+                        (lambda: spanning_gcycle_strong(d), 1),
+                        (lambda: tour_cost(inst, MODE_EXTENDED_EXACT), 2)):
+        calls.clear()
+        entry()
+        assert len(calls) == want

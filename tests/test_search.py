@@ -487,3 +487,25 @@ def test_jump_metrics_match_zero_one_bfs(a, b):
     assert b is None or len(unreachable) >= a.n * b.n
     assert jm.N == max(want.values(), default=0)
     assert jm.bound == (None if jm.c_f is None else min(d.n - jm.N, jm.c_f))
+
+
+@settings(max_examples=80)
+@given(random_smds(2, 11))
+def test_at_least_zero_is_the_exact_hamiltonian_cycle(d):
+    """With no jump to place, the fewest-jump cycle is exact_ham_cycle's."""
+    assert spanning_gcycle_at_least(d, 0) == exact_ham_cycle(d)
+
+
+def test_at_least_zero_runs_one_subset_table(monkeypatch):
+    """k = 0 on a Hamiltonian instance builds the level-0 table once: the
+    empty terminal set is not searched again."""
+    runs = []
+
+    def spy(*args, _fn=search._push_layers):
+        runs.append(args[0])
+        return _fn(*args)
+
+    monkeypatch.setattr(search, "_push_layers", spy)
+    d = fig1_instance().digraph
+    w = spanning_gcycle_at_least(d, 0)
+    assert runs == [d.n] and walk_length(d, w) == d.n
