@@ -2,7 +2,8 @@
 
 Vertices are dense integer ids 1..n.  Partite sets are derived from the
 per-vertex partite index, never stored as separate lists.  Instances are
-immutable after construction; all operations below are pure functions.
+immutable after construction, but for the `validate` report, which is kept
+on the instance once computed; all operations below are pure functions.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ class PartitionedDigraph:
     digraph is reported by :func:`validate`, not enforced here.
     """
 
-    __slots__ = ("n", "c", "_part", "arcs", "augmented", "out_masks", "in_masks", "_smd_cache")
+    __slots__ = ("n", "c", "_part", "arcs", "augmented", "out_masks", "in_masks", "_report")
 
     def __init__(self, part: Iterable[int], arcs: Iterable[tuple], augmented: bool = False):
         part = tuple(part)
@@ -63,7 +64,7 @@ class PartitionedDigraph:
         # bit w-1 of out_masks[v-1] (in_masks[v-1]) is set for an arc (v,w) ((w,v))
         self.out_masks = tuple(out)
         self.in_masks = tuple(inn)
-        self._smd_cache = None
+        self._report = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -98,9 +99,7 @@ class PartitionedDigraph:
         return self._part[u - 1] == self._part[v - 1]
 
     def is_smd(self) -> bool:
-        if self._smd_cache is None:
-            validate(self)
-        return self._smd_cache
+        return (self._report or validate(self)).is_smd
 
     def require_smd(self):
         if self.augmented:
@@ -123,7 +122,7 @@ class PartitionedDigraph:
         return f"PartitionedDigraph(n={self.n}, c={self.c}, m={len(self.arcs)})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     is_smd: bool
     is_extended: bool
@@ -135,44 +134,51 @@ class ValidationReport:
 
 def validate(d: PartitionedDigraph) -> ValidationReport:
     """Classify an instance; violations are reported, never raised.  The
-    `is_smd` verdict is kept on the instance for `require_smd`."""
-    internal = None
-    for u, v in sorted(d.arcs):
-        if d.same_part(u, v):
-            internal = (u, v)
-            break
-    missing = None
-    for u, v in combinations(d.vertices(), 2):
-        if d.same_part(u, v):
-            continue
-        if (u, v) not in d.arcs and (v, u) not in d.arcs:
-            missing = (u, v)
-            break
-    smd = d._smd_cache = internal is None and missing is None
+    report is computed once and kept on the instance."""
+    if d._report is None:
+        d._report = _classify(d)
+    return d._report
+
+
+def _classify(d: PartitionedDigraph) -> ValidationReport:
+    """The report from the adjacency masks and one mask per partite set.
+
+    Each witness is the first in the pairwise order: the lowest internal arc,
+    the lowest cross-partite pair (u < v) with no arc, and the first pair of
+    partite sets, in `combinations` order, that is neither one-way nor
+    complete both ways."""
+    full = (1 << d.n) - 1
+    part_masks = [0] * d.c
+    for v, p in enumerate(d._part):
+        part_masks[p - 1] |= 1 << v
+    own = [part_masks[p - 1] for p in d._part]
+    internal = missing = None
+    for u, (out, inn, same) in enumerate(zip(d.out_masks, d.in_masks, own)):
+        hit = out & same
+        if internal is None and hit:
+            internal = (u + 1, (hit & -hit).bit_length())
+        gap = full & ~(out | inn | same)
+        if missing is None and gap:
+            missing = (u + 1, (gap & -gap).bit_length())
+    smd = internal is None and missing is None
     ext_witness = None
     if smd:
-        sets = d.partite_sets()
+        any_out, any_in = [0] * d.c, [0] * d.c
+        all_out, all_in = [full] * d.c, [full] * d.c
+        for p, out, inn in zip(d._part, d.out_masks, d.in_masks):
+            any_out[p - 1] |= out
+            any_in[p - 1] |= inn
+            all_out[p - 1] &= out
+            all_in[p - 1] &= inn
         for i, j in combinations(range(d.c), 2):
-            fwd = any((u, v) in d.arcs for u in sets[i] for v in sets[j])
-            bwd = any((v, u) in d.arcs for u in sets[i] for v in sets[j])
-            complete = all(
-                (u, v) in d.arcs and (v, u) in d.arcs for u in sets[i] for v in sets[j]
-            )
-            one_way = (fwd and not bwd) or (bwd and not fwd)
-            if not (one_way or complete):
+            mj = part_masks[j]
+            fwd, bwd = bool(any_out[i] & mj), bool(any_in[i] & mj)
+            complete = all_out[i] & mj == mj and all_in[i] & mj == mj
+            if fwd == bwd and not complete:
                 ext_witness = (i + 1, j + 1)
                 break
-        extended = ext_witness is None
-    else:
-        extended = False
-    return ValidationReport(
-        is_smd=smd,
-        is_extended=extended,
-        is_strong=is_strong(d),
-        internal_arc=internal,
-        missing_pair=missing,
-        extended_witness=ext_witness,
-    )
+    return ValidationReport(smd, smd and ext_witness is None, is_strong(d),
+                            internal, missing, ext_witness)
 
 
 def strong_components(d: PartitionedDigraph) -> list:

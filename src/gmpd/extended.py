@@ -15,7 +15,7 @@ from .digraph import PartitionedDigraph, ValidationReport, validate
 from .errors import CertificateError, NoSharedPartite, NotExtended, OneDirectional
 from .factor import max_arc_gcycle_factor
 from .merging import _merge_legal
-from .walks import GWalk, arc_count, canonical_cycle, validate_walk, walk_length
+from .walks import GFactor, GWalk, arc_count, canonical_cycle, validate_walk, walk_length
 
 
 def require_extended(d: PartitionedDigraph) -> ValidationReport:
@@ -83,14 +83,14 @@ def spanning_gcycle_extsd(d: PartitionedDigraph) -> Optional[GWalk]:
     only, orders them along a Hamiltonian cycle of the contracted tournament,
     and concatenates; the result is certified equal to the factor maximum.
     """
-    return _spanning_gcycle_extsd(d, require_extended(d).is_strong)
-
-
-def _spanning_gcycle_extsd(d: PartitionedDigraph, strong: bool) -> Optional[GWalk]:
-    """spanning_gcycle_extsd for an instance already validated as extended."""
-    if d.n < 2 or not strong:
+    if d.n < 2 or not require_extended(d).is_strong:
         return None
-    factor = max_arc_gcycle_factor(d)
+    return _spanning_gcycle_extsd(d, max_arc_gcycle_factor(d))
+
+
+def _spanning_gcycle_extsd(d: PartitionedDigraph, factor: GFactor) -> GWalk:
+    """spanning_gcycle_extsd for a strong instance with n >= 2, already
+    validated as extended, from its maximum-arc factor."""
     cf = factor.arc_count(d)
     cycles = list(factor.cycles)
     while len(cycles) > 1:

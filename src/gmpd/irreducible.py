@@ -274,9 +274,7 @@ def spanning_gcycle_strong(
     if report.is_extended:
         from .extended import _spanning_gcycle_extsd
 
-        cyc = _spanning_gcycle_extsd(d, report.is_strong)
-        if cyc is None:
-            raise CertificateError("a strong extended instance has no spanning cycle")
+        cyc = _spanning_gcycle_extsd(d, factor)
         cert = {
             "c_f": cf,
             "c_prime": cprime,

@@ -3,10 +3,10 @@ walks of the 0-weight instance obtained by dropping the weight-1 cliques."""
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .construct import longest_gpath
-from .digraph import PartitionedDigraph
+from .digraph import PartitionedDigraph, _closure, _vertices_of
 from .errors import CertificateError, CliqueViolation, NotSemicomplete
 from .extended import spanning_gcycle_extsd
 from .irreducible import spanning_gcycle_strong
@@ -41,36 +41,33 @@ class ZOTSPReport:
 
 
 def validate_zotsp(inst: ZOTSPInstance) -> ZOTSPReport:
-    """Check semicompleteness and the disjoint-clique shape of weight-1 arcs."""
+    """Check semicompleteness and the disjoint-clique shape of weight-1 arcs.
+
+    The weight-1 groups are closures over weight-1 masks, taken in the order
+    their first weight-1 arc comes; the first pair of a group without
+    weight-1 arcs both ways is the witness."""
     for u, v in combinations(range(1, inst.n + 1), 2):
         if (u, v) not in inst.arcs and (v, u) not in inst.arcs:
             return ZOTSPReport(ok=False, witness=(u, v))
     if not inst.ones <= inst.arcs:
         stray = min(inst.ones - inst.arcs)
         return ZOTSPReport(ok=False, witness=stray)
-    parent: Dict[int, int] = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
+    out1, in1 = [0] * inst.n, [0] * inst.n
     for u, v in inst.ones:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: Dict[int, set] = {}
-    for u, v in inst.ones:
-        groups.setdefault(find(u), set()).update((u, v))
-    cliques = []
-    for members in groups.values():
-        for a, b in combinations(sorted(members), 2):
-            if (a, b) not in inst.ones or (b, a) not in inst.ones:
-                return ZOTSPReport(ok=False, witness=(a, b))
-        cliques.append(frozenset(members))
+        out1[u - 1] |= 1 << (v - 1)
+        in1[v - 1] |= 1 << (u - 1)
+    near = [o | i for o, i in zip(out1, in1)]
+    cliques, done = [], 0
+    for u in dict.fromkeys(u for u, _ in inst.ones):
+        if done >> (u - 1) & 1:
+            continue
+        group = _closure(near, u - 1)
+        done |= group
+        for a in _vertices_of(group):
+            bad = group & ~(out1[a - 1] & in1[a - 1]) & ~(1 << (a - 1))
+            if bad:
+                return ZOTSPReport(ok=False, witness=(a, (bad & -bad).bit_length()))
+        cliques.append(frozenset(_vertices_of(group)))
     cliques.sort(key=min)
     return ZOTSPReport(ok=True, cliques=cliques)
 

@@ -4,8 +4,9 @@ hypothesis settings profile.
 The brute-force routines here enumerate permutations and subsets directly,
 and the re-solve lex-min, the 0-1 BFS, the unpruned terminal-set enumeration
 the per-pair completion grid, the fully built splice candidates, the int32
-max-arc subset table and the mask-by-mask reachability table are the
-plain algorithms the packaged engines replaced; they exist to validate the packaged engines and must stay
+max-arc subset table, the mask-by-mask reachability table and the pairwise
+instance and 0/1-TSP checks are the plain algorithms the packaged engines
+replaced; they exist to validate the packaged engines and must stay
 independent of them."""
 
 from collections import deque
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import settings
 from scipy.optimize import linear_sum_assignment
 
-from gmpd.digraph import PartitionedDigraph, augment_terminals
+from gmpd.digraph import PartitionedDigraph, ValidationReport, augment_terminals, is_strong
 from gmpd.generators import random_extended, random_smd
 from gmpd.search import exact_ham_cycle
+from gmpd.tsp import ZOTSPReport
 from gmpd.walks import GWalk, canonical_cycle, first_fit
 
 # every property test replays the same examples, with a bounded count, so the
@@ -283,6 +285,60 @@ def reference_xy_spanning_gpath(d, x, y):
         cur = min(u for u in pred[cur] if dp[mask] >> u & 1)
         seq.append(cur)
     return GWalk("path", tuple(v + 1 for v in reversed(seq)))
+
+
+def reference_validate(d):
+    """The instance report pair by pair: the first internal arc of the sorted
+    arcs, the first cross-partite pair in `combinations` order with no arc,
+    and the first pair of partite sets that is neither one-way nor complete."""
+    internal = next(((u, v) for u, v in sorted(d.arcs) if d.same_part(u, v)), None)
+    missing = next(((u, v) for u, v in combinations(d.vertices(), 2)
+                    if not d.same_part(u, v) and (u, v) not in d.arcs and (v, u) not in d.arcs),
+                   None)
+    smd = internal is None and missing is None
+    witness = None
+    if smd:
+        sets = d.partite_sets()
+        for i, j in combinations(range(d.c), 2):
+            fwd = any((u, v) in d.arcs for u in sets[i] for v in sets[j])
+            bwd = any((v, u) in d.arcs for u in sets[i] for v in sets[j])
+            complete = all((u, v) in d.arcs and (v, u) in d.arcs for u in sets[i] for v in sets[j])
+            if not ((fwd and not bwd) or (bwd and not fwd) or complete):
+                witness = (i + 1, j + 1)
+                break
+    return ValidationReport(is_smd=smd, is_extended=smd and witness is None, is_strong=is_strong(d),
+                            internal_arc=internal, missing_pair=missing, extended_witness=witness)
+
+
+def reference_validate_zotsp(inst):
+    """The 0/1-TSP report pair by pair: the first pair in `combinations` order
+    with no arc, the least weight-1 arc that is no arc, then the groups of a
+    union-find over the weight-1 arcs, in the order their first arc comes,
+    each checked pair by pair for arcs both ways."""
+    for u, v in combinations(range(1, inst.n + 1), 2):
+        if (u, v) not in inst.arcs and (v, u) not in inst.arcs:
+            return ZOTSPReport(ok=False, witness=(u, v))
+    if not inst.ones <= inst.arcs:
+        return ZOTSPReport(ok=False, witness=min(inst.ones - inst.arcs))
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for u, v in inst.ones:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    groups = {}
+    for u, v in inst.ones:
+        groups.setdefault(find(u), set()).update((u, v))
+    for members in groups.values():
+        for a, b in combinations(sorted(members), 2):
+            if (a, b) not in inst.ones or (b, a) not in inst.ones:
+                return ZOTSPReport(ok=False, witness=(a, b))
+    return ZOTSPReport(ok=True, cliques=sorted((frozenset(g) for g in groups.values()), key=min))
 
 
 def fig1_digraph():

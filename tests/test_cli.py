@@ -4,13 +4,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import gmpd
 from gmpd.cli import main
-from gmpd.fileformat import emit_instance, parse_instance
+from gmpd.digraph import PartitionedDigraph
+from gmpd.fileformat import InstanceFile, emit_instance, parse_instance
 from gmpd.errors import ParseError
 from gmpd.generators import fig1, fig2, generate, noclose
 from gmpd.walks import parse_walk, validate_walk
+
+from conftest import random_smd_digraph
 
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -51,6 +55,47 @@ def test_parse_rejects_truncated_file():
     text = "gmpd 1\n3 2\n1 1 2\n4\n1 3\n"
     with pytest.raises(ParseError):
         parse_instance(text)
+
+
+HEAD = "gmpd 1\n3 2\n1 1 2\n"
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("gmpd 1\n3\n1 1 2\n0\n", 2, "bad size line: not enough values to unpack (expected 2, got 1)"),
+    ("gmpd 1\n3 2\n1 2\n0\n", 3, "expected 3 partite indices, got 2"),
+    ("gmpd 1\n3 2\n1 x 2\n0\n", 3, "bad partite index: invalid literal for int() with base 10: 'x'"),
+    (HEAD + "three\n", 4, "bad arc count: invalid literal for int() with base 10: 'three'"),
+    (HEAD + "2\n1 3\n2 3 1\n", 6, "bad arc line: too many values to unpack (expected 2)"),
+    (HEAD + "2\n1 3\n2\n", 6, "bad arc line: not enough values to unpack (expected 2, got 1)"),
+    (HEAD + "2\n1 3\n2 x\n", 6, "bad arc line: invalid literal for int() with base 10: 'x'"),
+    (HEAD + "2\n1 3\n2 4\n", 6, "illegal arc (2,4)"),
+    (HEAD + "2\n-1 3\n2 3\n", 5, "illegal arc (-1,3)"),
+    (HEAD + "2\n1 3\n3 3\n", 6, "illegal arc (3,3)"),
+    (HEAD + "3\n1 3\n2 3\n1 3\n", 7, "duplicate arc (1,3)"),
+    (HEAD + "3\n1 3\n2 3\n2  3\n", 7, "duplicate arc (2,3)"),
+    (HEAD + "2\n1 3\n2 3\nweights 1\n3 1\n", 8, "weight on missing arc (3,1)"),
+    (HEAD + "2\n1 3\n2 3\nextra\n", 7, "unexpected trailer 'extra'"),
+    (HEAD + "4\n1 3\n", 6, "unexpected end of file"),
+    (HEAD + "2\n1 3\n2 3\nweights 2\n1 3\n", 9, "unexpected end of file"),
+])
+def test_parse_error_line_and_text(text, line, reason):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
+
+
+def test_parse_reads_any_int_spelling():
+    """Blocks whose lines are not plain decimal pairs are read line by line,
+    with int() as before."""
+    canon = parse_instance(HEAD + "2\n1 3\n2 3\nweights 1\n2 3\n")
+    for block in ("+1 3\n2 3\n", "1\t3\n 2  3 \n", "01 3\n2 03\n", "1 3\n2\u00a03\n"):
+        second = block.split("\n", 1)[1]
+        assert parse_instance(HEAD + "2\n" + block + "weights 1\n" + second) == canon
+
+
+def test_parse_negative_counts_read_no_lines():
+    inst = parse_instance(HEAD + "-1\nweights -2\nlegend 0\n")
+    assert not inst.digraph.arcs and inst.weights == frozenset() and inst.legend == {}
 
 
 def test_internal_arc_parses_but_fails_validation(capsys, tmp_path):
@@ -233,3 +278,26 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "is_smd true" in proc.stdout
+
+
+@st.composite
+def instance_files(draw):
+    """Random SMDs (n 1-12) with some arcs inside partite sets added, an
+    optional weight-1 arc set and a legend."""
+    d = random_smd_digraph(draw(st.sampled_from(range(1, 13))), draw(st.sampled_from(range(1, 5))),
+                           draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.integers(0, 10 ** 6)))
+    inside = [(u, v) for u in d.vertices() for v in d.vertices() if u != v and d.same_part(u, v)]
+    extra = draw(st.sets(st.sampled_from(inside))) if inside else set()
+    d = PartitionedDigraph(d.part_vector, d.arcs | extra)
+    arcs = sorted(d.arcs)
+    weights = draw(st.none() | st.sets(st.sampled_from(arcs)).map(frozenset)) if arcs else None
+    legend = draw(st.dictionaries(st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True),
+                                  st.sampled_from(list(d.vertices())), max_size=4))
+    return InstanceFile(d, weights, legend)
+
+
+@given(instance_files())
+def test_emit_parse_round_trip(inst):
+    text = emit_instance(inst)
+    back = parse_instance(text)
+    assert back == inst and emit_instance(back) == text

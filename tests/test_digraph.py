@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmpd.digraph import (
     PartitionedDigraph,
@@ -14,7 +15,7 @@ from gmpd.digraph import (
 )
 from gmpd.errors import AugmentedInput
 
-from conftest import random_smd_digraph
+from conftest import random_extended_digraph, random_smd_digraph, reference_validate
 
 
 def test_fig1_validates(fig1):
@@ -160,3 +161,32 @@ def test_arc_normalization_and_errors():
         PartitionedDigraph([1, 2], frozenset({(1, 2), (np.int64(2), 3)}))
     with pytest.raises(ValueError, match=r"^arc \(0,1\) out of range$"):
         PartitionedDigraph([1, 2], [(0, 1)])
+
+
+@st.composite
+def classified_instances(draw):
+    """Random SMDs (n 1-14, c 1-6), the same with one planted internal arc or
+    one deleted cross-partite pair, augmented ones, and extended ones."""
+    kind = draw(st.sampled_from(["smd", "internal", "deleted", "augmented", "extended"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    if kind == "extended":
+        return random_extended_digraph(draw(st.sampled_from(range(1, 7))),
+                                       draw(st.sampled_from(range(1, 5))), seed)
+    d = random_smd_digraph(draw(st.sampled_from(range(1, 15))), draw(st.sampled_from(range(1, 7))),
+                           draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])), seed)
+    pairs = [(u, v) for u in d.vertices() for v in d.vertices()
+             if u < v and d.same_part(u, v) == (kind == "internal")]
+    if kind == "augmented":
+        return augment_terminals(d, draw(st.sets(st.sampled_from(list(d.vertices())), max_size=3)))
+    if kind == "smd" or not pairs:
+        return d
+    u, v = draw(st.sampled_from(pairs))
+    if kind == "internal":
+        return PartitionedDigraph(d.part_vector, d.arcs | {draw(st.sampled_from([(u, v), (v, u)]))})
+    return PartitionedDigraph(d.part_vector, d.arcs - {(u, v), (v, u)})
+
+
+@settings(max_examples=300)
+@given(classified_instances())
+def test_mask_validate_matches_pairwise(d):
+    assert validate(d) == reference_validate(d)

@@ -3,7 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gmpd import cli, digraph, extended, irreducible, merging
+from gmpd import digraph, factor, merging
 from gmpd.digraph import PartitionedDigraph, is_strong, validate
 from gmpd.errors import IllegalPair, NoSharedPartite, NotExtended, OneDirectional
 from gmpd.extended import merge_bidirectional, merge_same_partite, spanning_gcycle_extsd
@@ -236,23 +236,28 @@ def test_large_extended_draw_reaches_the_factor_maximum():
 
 def test_extended_entries_validate_once(monkeypatch):
     """The extended route, the strong route on an extended instance and the
-    extended-exact tour each classify the instance once.  tour_cost's other
-    call is to_smd's check that the weight-0 digraph it builds is an SMD."""
-    calls = []
+    extended-exact tour each classify their instance once, and solve its
+    maximum-arc factor once.  tour_cost's one report is to_smd's, on the
+    weight-0 digraph it builds; the extended route reads it from there."""
+    reports, solves = [], []
 
-    def counting(d, _fn=digraph.validate):
-        calls.append(d)
+    def classify(d, _fn=digraph._classify):
+        reports.append(d)
         return _fn(d)
 
-    for module in (digraph, irreducible, extended, cli):
-        monkeypatch.setattr(module, "validate", counting)
+    def solve(cost, _fn=factor.lexmin_assignment):
+        solves.append(cost)
+        return _fn(cost)
+
+    monkeypatch.setattr(digraph, "_classify", classify)
+    monkeypatch.setattr(factor, "lexmin_assignment", solve)
     d = generate("extended", ["8", "4"], seed=3).digraph
     assert len(max_arc_gcycle_factor(d).cycles) > 1
     ones = {(u, v) for u in d.vertices() for v in d.vertices() if u != v and d.same_part(u, v)}
     inst = ZOTSPInstance(d.n, frozenset(d.arcs | ones), frozenset(ones))
-    for entry, want in ((lambda: spanning_gcycle_extsd(d), 1),
-                        (lambda: spanning_gcycle_strong(d), 1),
-                        (lambda: tour_cost(inst, MODE_EXTENDED_EXACT), 2)):
-        calls.clear()
-        entry()
-        assert len(calls) == want
+    for entry in (spanning_gcycle_extsd, spanning_gcycle_strong,
+                  lambda _: tour_cost(inst, MODE_EXTENDED_EXACT)):
+        reports.clear()
+        solves.clear()
+        entry(PartitionedDigraph(d.part_vector, d.arcs))
+        assert (len(reports), len(solves)) == (1, 1)

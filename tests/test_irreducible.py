@@ -1,6 +1,6 @@
 import pytest
 
-from gmpd import cli, digraph, extended, irreducible, walks
+from gmpd import digraph, irreducible, walks
 from gmpd.digraph import PartitionedDigraph, augment_terminals, is_strong
 from gmpd.errors import (
     AugmentedInput,
@@ -301,14 +301,15 @@ def test_undecided_dominated_pair_counts_as_no_merge():
 
 
 def test_strong_route_validates_once(monkeypatch):
+    """The strong route computes one report for its instance, which every
+    check on the way reads."""
     calls = []
 
-    def counting(d, _fn=digraph.validate):
+    def counting(d, _fn=digraph._classify):
         calls.append(d)
         return _fn(d)
 
-    for module in (digraph, irreducible, extended, cli):
-        monkeypatch.setattr(module, "validate", counting)
+    monkeypatch.setattr(digraph, "_classify", counting)
     for d in (undecided_dominated_pair()[0], random_smd_digraph(12, 3, 0.4, 7)):
         assert is_strong(d)
         calls.clear()

@@ -1,6 +1,7 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gmpd.factor
 from gmpd.digraph import PartitionedDigraph, is_strong
@@ -19,7 +20,7 @@ from gmpd.tsp import (
 )
 from gmpd.walks import walk_length
 
-from conftest import random_extended_digraph, random_smd_digraph
+from conftest import random_extended_digraph, random_smd_digraph, reference_validate_zotsp
 
 
 def _instance_from_smd(d):
@@ -193,3 +194,36 @@ def test_tour_strong_bound_solves_c_f_once(monkeypatch):
         assert tuple(out["tour"]) == cyc.seq
         checked += 1
     assert checked >= 10
+
+
+@st.composite
+def weighted_instances(draw):
+    """0/1-TSP instances from random SMDs (n 1-12) whose partite sets become
+    weight-1 cliques, then changed by one of: up to three weight-1 arcs made
+    weight 0, a weight-1 arc across two sets, a weight-1 pair with no arc,
+    or one pair of vertices left with no arc."""
+    d = random_smd_digraph(draw(st.sampled_from(range(1, 13))), draw(st.sampled_from(range(1, 6))),
+                           draw(st.sampled_from([0.0, 0.3, 1.0])), draw(st.integers(0, 10 ** 6)))
+    ones = {(u, v) for u in d.vertices() for v in d.vertices() if u != v and d.same_part(u, v)}
+    arcs = set(d.arcs) | ones
+    kind = draw(st.sampled_from(["cliques", "dropped", "bridged", "stray", "missing"]))
+    pool = {"dropped": sorted(ones), "bridged": sorted(d.arcs),
+            "stray": sorted((v, u) for u, v in d.arcs if (v, u) not in d.arcs),
+            "missing": sorted(arcs)}.get(kind)
+    if pool:
+        picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        if kind == "dropped":
+            ones -= set(picked)
+        elif kind == "missing":
+            (u, v), = picked[:1]
+            arcs -= {(u, v), (v, u)}
+            ones -= {(u, v), (v, u)}
+        else:
+            ones |= set(picked[:1])
+    return ZOTSPInstance(d.n, frozenset(arcs), frozenset(ones))
+
+
+@settings(max_examples=300)
+@given(weighted_instances())
+def test_mask_validate_zotsp_matches_pairwise(inst):
+    assert validate_zotsp(inst) == reference_validate_zotsp(inst)
