@@ -99,7 +99,7 @@ class PartitionedDigraph:
         return self._part[u - 1] == self._part[v - 1]
 
     def is_smd(self) -> bool:
-        return (self._report or validate(self)).is_smd
+        return validate(self).is_smd
 
     def require_smd(self):
         if self.augmented:

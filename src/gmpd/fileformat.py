@@ -13,20 +13,15 @@ Grammar (LF line endings, ASCII):
     <name> <id>
 
 Parsing and validation are separate: a file whose arc list violates the
-partite structure parses fine and is flagged by the validator.  The arc and
-weight blocks are converted in one go; a block with any other line is read
-again line by line, so that a ParseError names the first bad line."""
+partite structure parses fine and is flagged by the validator."""
 
-import re
 from dataclasses import dataclass, field
-from operator import eq
 from typing import Dict, Optional
 
 from .digraph import PartitionedDigraph
 from .errors import ParseError
 
 HEADER = "gmpd 1"
-_PAIR_LINES = re.compile(r"(?:[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*\n)*")
 
 
 @dataclass
@@ -51,17 +46,6 @@ def emit_instance(inst: InstanceFile) -> str:
         lines.append(f"legend {len(items)}")
         lines.extend(f"{name} {vid}" for name, vid in items)
     return "\n".join(lines) + "\n"
-
-
-def _pairs(block, count) -> Optional[tuple]:
-    """(tails, heads) of `count` lines that each hold two decimal numbers,
-    converted in one go, or None when the block is not `count` lines long or
-    a line holds anything else."""
-    text = "\n".join(block + [""])
-    if len(block) != count or not _PAIR_LINES.fullmatch(text):
-        return None
-    ends = list(map(int, text.split()))
-    return ends[0::2], ends[1::2]
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -94,25 +78,19 @@ def parse_instance(text: str) -> InstanceFile:
         m = int(take())
     except ValueError as exc:
         raise ParseError(pos, f"bad arc count: {exc}") from None
-    pairs = _pairs(lines[pos:pos + m], m)
-    arcs = None if pairs is None else frozenset(zip(*pairs))
-    if arcs is not None and len(arcs) == m and not any(map(eq, *pairs)) and (
-            not m or 1 <= min(map(min, pairs)) and max(map(max, pairs)) <= n):
-        pos += m
-    else:   # read again line by line, which raises at the first bad line
-        seen = set()
-        for _ in range(m):
-            line = take()
-            try:
-                u, v = map(int, line.split())
-            except ValueError as exc:
-                raise ParseError(pos, f"bad arc line: {exc}") from None
-            if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                raise ParseError(pos, f"illegal arc ({u},{v})")
-            if (u, v) in seen:
-                raise ParseError(pos, f"duplicate arc ({u},{v})")
-            seen.add((u, v))
-        arcs = frozenset(seen)
+    seen = set()
+    for _ in range(m):
+        line = take()
+        try:
+            u, v = map(int, line.split())
+        except ValueError as exc:
+            raise ParseError(pos, f"bad arc line: {exc}") from None
+        if not (1 <= u <= n and 1 <= v <= n) or u == v:
+            raise ParseError(pos, f"illegal arc ({u},{v})")
+        if (u, v) in seen:
+            raise ParseError(pos, f"duplicate arc ({u},{v})")
+        seen.add((u, v))
+    arcs = frozenset(seen)
     weights = None
     legend: Dict[str, int] = {}
     while pos < len(lines):
@@ -124,21 +102,16 @@ def parse_instance(text: str) -> InstanceFile:
                 k = int(line.split()[1])
             except (IndexError, ValueError):
                 raise ParseError(pos, "bad weights header") from None
-            pairs = _pairs(lines[pos:pos + k], k)
-            ones = None if pairs is None else frozenset(zip(*pairs))
-            if ones is not None and ones <= arcs:
-                pos += k
-            else:
-                ones = set()
-                for _ in range(k):
-                    wline = take()
-                    try:
-                        u, v = map(int, wline.split())
-                    except ValueError as exc:
-                        raise ParseError(pos, f"bad weight line: {exc}") from None
-                    if (u, v) not in arcs:
-                        raise ParseError(pos, f"weight on missing arc ({u},{v})")
-                    ones.add((u, v))
+            ones = set()
+            for _ in range(k):
+                wline = take()
+                try:
+                    u, v = map(int, wline.split())
+                except ValueError as exc:
+                    raise ParseError(pos, f"bad weight line: {exc}") from None
+                if (u, v) not in seen:
+                    raise ParseError(pos, f"weight on missing arc ({u},{v})")
+                ones.add((u, v))
             weights = frozenset(ones)
         elif line.startswith("legend"):
             try:

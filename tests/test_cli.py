@@ -85,8 +85,8 @@ def test_parse_error_line_and_text(text, line, reason):
 
 
 def test_parse_reads_any_int_spelling():
-    """Blocks whose lines are not plain decimal pairs are read line by line,
-    with int() as before."""
+    """Each arc and weight end is read with int(), so any spelling int()
+    accepts parses to the same instance."""
     canon = parse_instance(HEAD + "2\n1 3\n2 3\nweights 1\n2 3\n")
     for block in ("+1 3\n2 3\n", "1\t3\n 2  3 \n", "01 3\n2 03\n", "1 3\n2\u00a03\n"):
         second = block.split("\n", 1)[1]
