@@ -114,11 +114,11 @@ def lexmin_assignment(cost: List[List[int]]) -> Optional[Tuple[int, List[int]]]:
     smallest tight one and the matching is re-routed along the search's
     parents.
     """
-    solved = solve_assignment(cost)
+    c = np.asarray(cost, dtype=np.int64)
+    solved = solve_assignment(c)
     if solved is None:
         return None
     total, succ, u, v = solved
-    c = np.asarray(cost, dtype=np.int64)
     n = len(c)
     reduced = c - u[:, None] - v[None, :]
     tight = (reduced == 0) & (c < _INF_CUT)

@@ -1,15 +1,20 @@
 """Exact desk-scale engines: Hamiltonicity, prescribed-end spanning walks,
 longest-walk oracles, and the jump-count metrics.
 
-Every subset dynamic program runs on one kernel over tables of one uint32
-word per vertex subset (the possible last vertices), vectorized over each
-popcount layer, so no engine takes more than 31 vertices.  The longest-walk
-oracles and the n-k decision count jumps, not arcs: level j of their table
-holds the ends reached with at most j jumps.  The n-k decision runs the
-Hamiltonian engine only on terminal sets of J feasible jump tails, for the
-fewest jumps J, read off those levels and the levels of the reversed
-instance.  Thresholds are configuration: an explicit argument wins, then
-the GMPD_EXACT_THRESHOLD environment variable, then the per-engine default.
+The Hamiltonian-cycle and spanning (x,y)-walk engines answer first by a
+backward search over (vertex set, last vertex) states, smallest vertex
+first, with unreachable sets cut and failed states kept; it returns the
+witness the subset table rebuilds, and the table is built only when the
+search expands more than n·n states.  Every subset dynamic program runs on
+one kernel over tables of one uint32 word per vertex subset (the possible
+last vertices), vectorized over each popcount layer, so no engine takes
+more than 31 vertices, whichever answers.  The longest-walk oracles and
+the n-k decision count jumps, not arcs: level j of their table holds the
+ends reached with at most j jumps.  The n-k decision runs the Hamiltonian
+engine only on terminal sets of J feasible jump tails, for the fewest
+jumps J, read off those levels and the levels of the reversed instance.
+Thresholds are configuration: an explicit argument wins, then the
+GMPD_EXACT_THRESHOLD environment variable, then the per-engine default.
 """
 
 import os
@@ -217,17 +222,65 @@ def _reach_dp_fast(n: int, in_mask, start: int) -> np.ndarray:
     return dp
 
 
+def _ham_search(out_masks, in_masks, start: int, mask: int, lasts: int, budget):
+    """(decided, seq): seq is the path over `mask` from `start` to a vertex
+    of `lasts` that the subset tables rebuild, or None when there is none;
+    decided is False, and seq None, once more than `budget` states (S, v)
+    have expanded.
+
+    The search runs backwards from the last vertices in ascending order,
+    smallest predecessor first, the order in which `_reconstruct_path` picks
+    the smallest predecessor that has a completion, so the first path found
+    is the table's.  A state is cut unless `start` reaches all of S and all
+    of S reaches v inside S, and every failed state is kept."""
+    expanded, failed = 0, set()
+
+    def back(s: int, v: int):
+        nonlocal expanded
+        if s == 1 << v:
+            return [v] if v == start else None
+        if (s, v) in failed:
+            return None
+        expanded += 1
+        if expanded > budget:
+            return None
+        if _closure(out_masks, start, s) == s and _closure(in_masks, v, s) == s:
+            rest = s ^ 1 << v
+            preds = in_masks[v] & rest
+            if rest != 1 << start:
+                preds &= ~(1 << start)   # `start` is the first vertex, never an inner one
+            for u in _bits(preds):
+                seq = back(rest, u)
+                if seq:
+                    seq.append(v)
+                    return seq
+        failed.add((s, v))
+        return None
+
+    for last in _bits(lasts):
+        seq = back(mask, last)
+        if seq:
+            return True, seq
+    return expanded <= budget, None
+
+
 def exact_ham_cycle(
     d: PartitionedDigraph, threshold: Optional[int] = None
 ) -> Optional[GWalk]:
-    """Exact Hamiltonian-cycle search; accepts augmented instances."""
-    _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
-    if d.n < 2:
+    """Exact Hamiltonian-cycle search; accepts augmented instances.  The
+    backward search answers first; the subset table runs only when the
+    search expands more than n·n states."""
+    n = d.n
+    _check_size(n, DEFAULT_HAM_THRESHOLD, threshold)
+    if n < 2:
         return None
-    found = _fewest_jumps(d, [0], True, 0)
-    if found is None:
+    decided, seq = _ham_search(d.out_masks, d.in_masks, 0, (1 << n) - 1, d.in_masks[0], n * n)
+    if not decided:
+        found = _fewest_jumps(d, [0], True, 0)
+        seq = found and found[1]
+    if seq is None:
         return None
-    cyc = canonical_cycle(GWalk("cycle", tuple(v + 1 for v in found[1])))
+    cyc = canonical_cycle(GWalk("cycle", tuple(v + 1 for v in seq)))
     for u, v in cyc.pairs():
         if (u, v) not in d.arcs:
             raise CertificateError(f"Hamiltonian cycle uses the non-arc ({u},{v})")
@@ -246,16 +299,20 @@ def exact_xy_spanning_gpath(
     if x == y:
         raise ValueError("endpoints must differ")
     _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
-    n = d.n
-    # predecessors along an arc or a jump inside the partite set
-    in_mask = [arcs | jumps for arcs, jumps in zip(d.in_masks, _jump_in(d))]
-    # y may only be the last step, so the table never enters it
-    dp = _reach_dp_fast(n, [0 if v == y - 1 else m for v, m in enumerate(in_mask)], x - 1)
-    full = (1 << n) - 1
-    if not int(dp[full ^ 1 << (y - 1)]) & in_mask[y - 1]:
+    n, jump_in = d.n, _jump_in(d)
+    # a step along an arc or a jump inside the partite set
+    in_mask = [arcs | jumps for arcs, jumps in zip(d.in_masks, jump_in)]
+    out_mask = [arcs | jumps for arcs, jumps in zip(d.out_masks, jump_in)]
+    rest = (1 << n) - 1 ^ 1 << (y - 1)
+    decided, seq = _ham_search(out_mask, in_mask, x - 1, rest, in_mask[y - 1], n * n)
+    if not decided:
+        # y may only be the last step, so the table never enters it
+        dp = _reach_dp_fast(n, [0 if v == y - 1 else m for v, m in enumerate(in_mask)], x - 1)
+        ends = int(dp[rest]) & in_mask[y - 1]
+        seq = _reconstruct_path([dp], in_mask, rest, _lowest_bit_index(ends)) if ends else None
+    if seq is None:
         return None
-    seq = _reconstruct_path([dp], in_mask, full, y - 1)
-    walk = GWalk("path", tuple(v + 1 for v in seq))
+    walk = GWalk("path", tuple(v + 1 for v in seq) + (y,))
     validate_walk(d, walk)
     if walk.seq[0] != x or walk.seq[-1] != y or len(walk.seq) != n:
         raise CertificateError(f"the reconstructed walk is not a spanning ({x},{y})-walk")

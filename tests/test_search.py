@@ -296,13 +296,63 @@ def test_at_least_raises_when_the_enumeration_contradicts_the_levels(monkeypatch
 
 def test_popcount_layers_keep_every_size():
     """The layer cache holds one entry per size, so a second pass over more
-    sizes than the old eight-entry cache held rebuilds nothing."""
+    sizes than the old eight-entry cache held rebuilds nothing.  The cycle
+    oracle always builds its jump levels."""
     search._popcount_layers.cache_clear()
     sizes = range(3, 13)
     for _ in range(2):
         for n in sizes:
-            exact_ham_cycle(random_smd_digraph(n, 3, 0.3, n))
+            oracle_longest_spanning_gcycle(random_smd_digraph(n, 3, 0.3, n), threshold=n)
     assert search._popcount_layers.cache_info().misses == len(sizes)
+
+
+def _both_engines(call):
+    """call()'s answer from the backward search with no state budget, and
+    from the subset tables alone."""
+    unbounded = search._ham_search
+    answers = []
+    for stub in (lambda *args: unbounded(*args[:-1], float("inf")), lambda *args: (False, None)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_ham_search", stub)
+            answers.append(call())
+    return answers
+
+
+@settings(max_examples=150)
+@given(random_smds(1, 12), st.data())
+def test_backward_search_returns_the_table_witness(d, data):
+    """With its budget lifted, the backward search gives every verdict and
+    witness of the tables, for cycles, cycles of augmented instances and
+    spanning (x,y)-walks."""
+    n = d.n
+    terminals = data.draw(st.sets(st.integers(1, n), max_size=3))
+    dx = augment_terminals(d, terminals)
+    found, table = _both_engines(lambda: exact_ham_cycle(dx, threshold=n))
+    assert found == table
+    for _ in range(3 if n > 1 else 0):
+        x, y = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        found, table = _both_engines(lambda: exact_xy_spanning_gpath(d, x, y, threshold=n))
+        assert found == table
+
+
+def test_search_past_its_budget_returns_the_table_witness(monkeypatch):
+    """fig2 augmented at {7, 8} needs more than n·n backward states, so the
+    table runs once, and it finds the cycle the unbounded search finds."""
+    dx = augment_terminals(fig2().digraph, (7, 8))
+    want = (1, 9, 4, 12, 11, 6, 14, 13, 5, 16, 8, 2, 10, 3, 15, 7)
+    assert [w.seq for w in _both_engines(lambda: exact_ham_cycle(dx))] == [want, want]
+    pushes = []
+    monkeypatch.setattr(search, "_push_layers", lambda *args, _fn=search._push_layers:
+                        pushes.append(args[0]) or _fn(*args))
+    assert exact_ham_cycle(dx).seq == want and pushes == [dx.n]
+
+
+def test_xy_gpath_yes_at_n20_builds_no_table(monkeypatch):
+    """A random n = 20 "yes" is answered by the backward search alone."""
+    monkeypatch.setattr(search, "_push_layers", lambda *args: pytest.fail("a table was built"))
+    d = random_smd_digraph(20, 4, 0.5, 0)
+    walk = exact_xy_spanning_gpath(d, 13, 14)
+    assert walk.seq[0] == 13 and walk.seq[-1] == 14 and is_spanning(d, walk)
 
 
 def test_at_least_bound_decides_no_past_the_size_cap():
