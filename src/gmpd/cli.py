@@ -11,7 +11,6 @@ from typing import Optional
 
 from . import construct, extended, factor, irreducible, npc, search, tsp
 from .digraph import validate
-from .errors import GmpdError
 from .fileformat import InstanceFile, emit_instance, parse_instance
 from .generators import generate
 from .npc import parse_dimacs
@@ -321,10 +320,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         res = args.func(args)
-    except GmpdError as exc:
-        sys.stderr.write(f"error {type(exc).__name__}: {exc}\n")
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except Exception as exc:  # any failure is an error, never a decision "no"
         sys.stderr.write(f"error {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
     if res.fields:

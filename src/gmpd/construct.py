@@ -7,18 +7,16 @@ from typing import List, Optional, Tuple
 from .digraph import PartitionedDigraph, contract_partite, induce, is_strong, strong_components
 from .errors import CertificateError, NotSemicomplete, NotStrong
 from .factor import max_arc_gcycle_factor, max_arc_path_cycle_subdigraph
-from .search import oracle_longest_gpath
+from .merging import _fold_path_cycle
 from .walks import (
     GFactor,
     GWalk,
+    _gain,
     canonical_cycle,
-    classify_pair,
-    first_fit,
     insert_piece,
     is_good,
     is_spanning,
     validate_factor,
-    validate_walk,
     walk_length,
 )
 
@@ -175,49 +173,26 @@ def good_gpath_length_c_minus_1(d: PartitionedDigraph) -> GWalk:
     return walk
 
 
-def _splice_candidates(p_seq: tuple, c_seq: tuple):
-    """Merge shapes from easiest to most entangled: concatenations with the
-    cycle opened anywhere, single crossovers, then the double-crossover shape
-    that pulls one cycle vertex in front of a path vertex."""
-    t = len(c_seq)
-    openings = [c_seq[i:] + c_seq[:i] for i in range(t)]
-    for op in openings:
-        yield op + p_seq
-    for op in openings:
-        yield p_seq + op
-    s = len(p_seq)
-    for a in range(1, s):
-        for op in openings:
-            yield p_seq[:a] + op + p_seq[a:]
-    for i in range(1, s):
-        for j in range(t):
-            moved = (c_seq[(j + 1) % t], p_seq[i])
-            rest = tuple(c_seq[(j + 1 + k) % t] for k in range(1, t))
-            yield p_seq[:i] + moved + rest + p_seq[i + 1:]
-
-
 def merge_path_cycle(d: PartitionedDigraph, p: GWalk, c: GWalk) -> GWalk:
     """Fold a disjoint cycle into a path without losing arcs.
 
-    Tries the finitely many splice shapes the existence argument uses and
-    certifies the first candidate that validates with enough arcs; an exact
-    subset search over the union is the last resort.
+    Scores the finitely many splice shapes the existence argument uses, in
+    O(1) each, and certifies the first that keeps every arc of the two
+    walks; when none does, it raises `CertificateError`.
     """
     if p.kind != "path" or c.kind != "cycle":
         raise ValueError("merge_path_cycle takes a path and a cycle")
     if set(p.seq) & set(c.seq):
         raise ValueError("walks must be vertex-disjoint")
     target = walk_length(d, p) + walk_length(d, c)
-    cand = first_fit(d, _splice_candidates(p.seq, c.seq), target, closed=False)
-    if cand is not None:
-        out = GWalk("path", cand)
-        validate_walk(d, out)
-        return out
-    sub, old = induce(d, set(p.seq) | set(c.seq))
-    arcs_best, walk = oracle_longest_gpath(sub)
-    if arcs_best < target or len(walk.seq) != sub.n:
-        raise CertificateError(f"no spanning path of the union keeps {target} arcs")
-    return GWalk("path", tuple(old[v - 1] for v in walk.seq))
+    cand = _fold_path_cycle(d, p.seq, c.seq, target)
+    if cand is None:
+        raise CertificateError(f"no splice shape keeps the {target} arcs of both walks")
+    out = GWalk("path", cand)
+    got = walk_length(d, out)
+    if got < target:
+        raise CertificateError(f"the folded path has {got} arcs, below {target}")
+    return out
 
 
 def longest_gpath(d: PartitionedDigraph) -> GWalk:
@@ -242,15 +217,10 @@ def _insert_vertex_no_loss(d: PartitionedDigraph, c: GWalk, v: int) -> Optional[
     """Insert v into the cycle without dropping below its arc count."""
     seq = c.seq
     n = len(seq)
+    arcs, part = d.arcs, d.part_vector
     for i in range(n):
         a, b = seq[i], seq[(i + 1) % n]
-        ta = classify_pair(d, a, v)
-        tb = classify_pair(d, v, b)
-        if ta is None or tb is None:
-            continue
-        old = classify_pair(d, a, b)
-        gain = (ta == "real") + (tb == "real") - (old == "real")
-        if gain >= 0:
+        if _gain(arcs, part, a, v) + _gain(arcs, part, v, b) - _gain(arcs, part, a, b) >= 0:
             return insert_piece(c, i, (v,))
     return None
 

@@ -1,5 +1,6 @@
 """Certified cycle-merge search shared by the extended-digraph and
-irreducible-factor engines.  Every merge of the extended route is
+irreducible-factor engines, and the scored fold of a cycle into a path
+behind `construct.merge_path_cycle`.  Every merge of the extended route is
 `_merge_legal` at the floor of the two cycles' summed arcs; a two-junction
 splice always reaches it there.
 
@@ -23,22 +24,10 @@ from typing import Optional, Tuple
 
 from .digraph import PartitionedDigraph, induce, is_strong_within
 from .errors import CertificateError, HypothesisUnmet, TooLarge
-from .walks import GWalk, canonical_cycle, insert_by_partners, open_cycle, validate_walk, walk_length
+from .walks import (GWalk, _cut_gains, _gain, canonical_cycle, insert_by_partners, open_cycle,
+                    validate_walk, walk_length)
 
 DP_FALLBACK_CAP = 18
-_ILLEGAL = float("-inf")   # the gain of an illegal pair: no candidate holding it reaches a floor
-
-
-def _gain(arcs, part, u: int, v: int):
-    """1 for an arc (u, v), 0 for a jump inside one partite set, else _ILLEGAL."""
-    if (u, v) in arcs:
-        return 1
-    return 0 if part[u - 1] == part[v - 1] else _ILLEGAL
-
-
-def _cut_gains(arcs, seq: tuple) -> list:
-    """gains[k] is 1 when the legal pair (seq[k-1], seq[k]) of the cycle is an arc."""
-    return [1 if (seq[k - 1], seq[k]) in arcs else 0 for k in range(len(seq))]
 
 
 def _interleave_two(d: PartitionedDigraph, a: tuple, b: tuple, floor: int) -> Optional[tuple]:
@@ -55,6 +44,36 @@ def _interleave_two(d: PartitionedDigraph, a: tuple, b: tuple, floor: int) -> Op
         for j in range(len(b)):
             if kept - gb[j] + _gain(arcs, part, u, b[j]) + _gain(arcs, part, b[j - 1], x) >= floor:
                 return a[i:] + a[:i] + b[j:] + b[:j]
+    return None
+
+
+def _fold_path_cycle(d: PartitionedDigraph, p: tuple, c: tuple, floor: int) -> Optional[tuple]:
+    """The first fold of the cycle c into the path p that is legal with at
+    least `floor` arcs, or None.  With c opened as c[i:] + c[:i], i inner,
+    the shapes run in this order: opened c before p, after p, then in front
+    of p[a] for a = 1, ..., len(p) - 1; then c[j+1] moved in front of p[i]
+    and the rest of c after p[i], i outer.  Each candidate is scored in O(1)
+    from the pairs it cuts (gp[k] enters p[k]; gp[0] is no path pair) and
+    the junctions it adds."""
+    arcs, part = d.arcs, d.part_vector
+    s, t = len(p), len(c)
+    gp, gc = _cut_gains(arcs, p), _cut_gains(arcs, c)
+    total = sum(gp) - gp[0] + sum(gc)
+    for a in [0, s, *range(1, s)]:
+        kept = total - (gp[a] if 0 < a < s else 0)
+        for i in range(t):
+            if (kept - gc[i] + (_gain(arcs, part, p[a - 1], c[i]) if a else 0)
+                    + (_gain(arcs, part, c[i - 1], p[a]) if a < s else 0)) >= floor:
+                return p[:a] + c[i:] + c[:i] + p[a:]
+    for i in range(1, s):
+        u, x = p[i - 1], p[i]
+        kept = total - gp[i] - (gp[i + 1] if i + 1 < s else 0)
+        for j in range(t):
+            m, k = (j + 1) % t, (j + 2) % t   # c[m] goes in front of x, c[k] ... c[j] after it
+            if (kept - gc[m] - gc[k] + _gain(arcs, part, u, c[m]) + _gain(arcs, part, c[m], x)
+                    + _gain(arcs, part, x, c[k])
+                    + (_gain(arcs, part, c[j], p[i + 1]) if i + 1 < s else 0)) >= floor:
+                return p[:i] + (c[m], x) + (c[k:] + c[:k])[:-1] + p[i + 1:]
     return None
 
 

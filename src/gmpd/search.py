@@ -296,6 +296,9 @@ def exact_xy_spanning_gpath(
     sequences from x to y are exactly the spanning (x,y)-G-paths.
     """
     d.require_smd()
+    for name, v in (("x", x), ("y", y)):
+        if not 1 <= v <= d.n:
+            raise ValueError(f"endpoint {name} = {v} is not a vertex 1..{d.n}")
     if x == y:
         raise ValueError("endpoints must differ")
     _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
@@ -373,7 +376,6 @@ def spanning_gcycle_at_least(
     d: PartitionedDigraph,
     k: int,
     threshold: Optional[int] = None,
-    k_cap: int = DEFAULT_ATLEAST_K_CAP,
 ) -> Optional[GWalk]:
     """Witness spanning generalized cycle with at least n-k arcs, or None.
 
@@ -391,8 +393,8 @@ def spanning_gcycle_at_least(
     d.require_smd()
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k > k_cap:
-        raise TooLarge(k, k_cap)
+    if k > DEFAULT_ATLEAST_K_CAP:
+        raise TooLarge(k, DEFAULT_ATLEAST_K_CAP)
     bound = jump_metrics(d).bound
     if bound is None or d.n - bound > k:
         return None

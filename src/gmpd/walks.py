@@ -44,12 +44,20 @@ def cycle(*vertices) -> GWalk:
     return GWalk("cycle", tuple(vertices))
 
 
-def classify_pair(d: PartitionedDigraph, u: int, v: int) -> Optional[str]:
-    if (u, v) in d.arcs:
-        return REAL
-    if d.same_part(u, v):
-        return JUMP
-    return None
+_ILLEGAL = float("-inf")   # the gain of an illegal pair: no sequence holding it reaches a floor
+
+
+def _gain(arcs, part, u: int, v: int):
+    """The pair rule: 1 for an arc (u, v), 0 for a jump inside one partite
+    set, else _ILLEGAL."""
+    if (u, v) in arcs:
+        return 1
+    return 0 if part[u - 1] == part[v - 1] else _ILLEGAL
+
+
+def _cut_gains(arcs, seq: tuple) -> list:
+    """gains[k] is 1 when the legal pair (seq[k-1], seq[k]) of the cycle is an arc."""
+    return [1 if (seq[k - 1], seq[k]) in arcs else 0 for k in range(len(seq))]
 
 
 def validate_walk(d: PartitionedDigraph, w: GWalk) -> List[str]:
@@ -63,12 +71,13 @@ def validate_walk(d: PartitionedDigraph, w: GWalk) -> List[str]:
         if v in seen:
             raise DuplicateVertex(v)
         seen.add(v)
+    arcs, part = d.arcs, d.part_vector
     tags = []
     for i, (u, v) in enumerate(w.pairs()):
-        tag = classify_pair(d, u, v)
-        if tag is None:
+        gain = _gain(arcs, part, u, v)
+        if gain < 0:
             raise IllegalPair(i, u, v)
-        tags.append(tag)
+        tags.append(REAL if gain else JUMP)
     return tags
 
 
@@ -77,38 +86,20 @@ def walk_length(d: PartitionedDigraph, w: GWalk) -> int:
     return sum(1 for t in validate_walk(d, w) if t == REAL)
 
 
-# first_fit calls this kernel, not the public arc_count that the benchmark
-# tracer wraps: a scan runs it per candidate (~900k per chain-strong pass)
-def _arcs_or_none(arcs, part, seq, closed: bool) -> Optional[int]:
-    length = 0
-    m = len(seq)
-    for i in range(m if closed else m - 1):
-        u, v = seq[i], seq[(i + 1) % m]
-        if (u, v) in arcs:
-            length += 1
-        elif part[u - 1] != part[v - 1]:
-            return None
-    return length
-
-
 def arc_count(d: PartitionedDigraph, seq, closed: bool) -> Optional[int]:
     """Number of arcs among the consecutive pairs of seq (with the wrap pair
     when closed), or None at the first pair that is neither an arc nor a
     jump inside one partite set.  Unlike validate_walk it checks no vertex
     range or repeat, and it stops at the first illegal pair."""
-    return _arcs_or_none(d.arcs, d.part_vector, seq, closed)
-
-
-def first_fit(d: PartitionedDigraph, candidates, floor: int, closed: bool):
-    """The first candidate sequence that is legal with at least `floor` arcs,
-    or None.  Most candidates fail within their first pairs, so each is
-    scanned by index and rejected there."""
     arcs, part = d.arcs, d.part_vector
-    for cand in candidates:
-        length = _arcs_or_none(arcs, part, cand, closed)
-        if length is not None and length >= floor:
-            return cand
-    return None
+    length = 0
+    m = len(seq)
+    for i in range(m if closed else m - 1):
+        gain = _gain(arcs, part, seq[i], seq[(i + 1) % m])
+        if gain < 0:
+            return None
+        length += gain
+    return length
 
 
 def is_good(d: PartitionedDigraph, w: GWalk) -> bool:

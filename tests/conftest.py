@@ -21,7 +21,7 @@ from gmpd.digraph import PartitionedDigraph, ValidationReport, augment_terminals
 from gmpd.generators import random_extended, random_smd
 from gmpd.search import exact_ham_cycle
 from gmpd.tsp import ZOTSPReport
-from gmpd.walks import GWalk, canonical_cycle, first_fit
+from gmpd.walks import GWalk, arc_count, canonical_cycle
 
 # every property test replays the same examples, with a bounded count, so the
 # suite stays deterministic and its run time fixed
@@ -198,13 +198,68 @@ def _splice_four(a, b):
                     yield a1 + b2 + a2 + b1
 
 
+def _splice_candidates(p_seq: tuple, c_seq: tuple):
+    """Merge shapes from easiest to most entangled: concatenations with the
+    cycle opened anywhere, single crossovers, then the double-crossover shape
+    that pulls one cycle vertex in front of a path vertex."""
+    t = len(c_seq)
+    openings = [c_seq[i:] + c_seq[:i] for i in range(t)]
+    for op in openings:
+        yield op + p_seq
+    for op in openings:
+        yield p_seq + op
+    s = len(p_seq)
+    for a in range(1, s):
+        for op in openings:
+            yield p_seq[:a] + op + p_seq[a:]
+    for i in range(1, s):
+        for j in range(t):
+            moved = (c_seq[(j + 1) % t], p_seq[i])
+            rest = tuple(c_seq[(j + 1 + k) % t] for k in range(1, t))
+            yield p_seq[:i] + moved + rest + p_seq[i + 1:]
+
+
+def _first_fit(d, candidates, floor, closed):
+    """The first candidate sequence legal with at least `floor` arcs, or None;
+    each candidate is built in full and counted by walks.arc_count."""
+    for cand in candidates:
+        length = arc_count(d, cand, closed)
+        if length is not None and length >= floor:
+            return cand
+    return None
+
+
 def reference_merge_scan(d, a, b, floor, junctions):
     """The first splice candidate of two cycles' sequences with 2 or 4
-    junctions that is legal with at least `floor` arcs, or None: every
-    candidate is built in full, in generator order, and scanned pair by pair
-    by walks.first_fit."""
+    junctions that is legal with at least `floor` arcs, or None, in
+    generator order."""
     splices = _splice_two if junctions == 2 else _splice_four
-    return first_fit(d, splices(a, b), floor, closed=True)
+    return _first_fit(d, splices(a, b), floor, closed=True)
+
+
+def reference_fold_path_cycle(d, p_seq, c_seq, floor):
+    """The first of _splice_candidates(p_seq, c_seq) that is a legal path with
+    at least `floor` arcs, or None."""
+    return _first_fit(d, _splice_candidates(p_seq, c_seq), floor, closed=False)
+
+
+def random_legal_order(d, vertices, rng, closed):
+    """An order of the vertices whose every pair (with the wrap pair when
+    closed) is an arc or a jump inside one partite set, grown greedily from
+    random choices, or None."""
+    for _ in range(30):
+        order = [rng.choice(vertices)]
+        left = sorted(set(vertices) - {order[0]})
+        while left:
+            steps = [v for v in left if (order[-1], v) in d.arcs or d.same_part(order[-1], v)]
+            if not steps:
+                break
+            order.append(rng.choice(steps))
+            left.remove(order[-1])
+        u, v = order[-1], order[0]
+        if not left and (not closed or (u, v) in d.arcs or d.same_part(u, v)):
+            return tuple(order)
+    return None
 
 
 def reference_spanning_gcycle_at_least(d, k):

@@ -190,6 +190,23 @@ def test_xy_gpath_cli(capsys):
     assert walk.seq[0] == 4 and walk.seq[-1] == 5
 
 
+@pytest.mark.parametrize("x, y, name", [("1", "99", "y = 99"), ("0", "2", "x = 0")])
+def test_xy_gpath_endpoint_out_of_range_is_an_error(capsys, x, y, name):
+    code, out, err = run_cli(["xy-gpath", x, y, str(GOLDEN / "fig1.gmpd")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error ValueError:") and name in err
+
+
+def test_unexpected_exception_is_an_error_not_a_no(capsys, monkeypatch):
+    def boom(d):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr("gmpd.search.jump_metrics", boom)
+    code, out, err = run_cli(["bound", str(GOLDEN / "fig1.gmpd")], capsys)
+    assert code == 2 and out == ""
+    assert err == "error RuntimeError: unexpected\n"
+
+
 def test_oracle_gcycle_fig1(capsys):
     code, out, _ = run_cli(["oracle", "gcycle", str(GOLDEN / "fig1.gmpd")], capsys)
     assert code == 0
@@ -278,6 +295,16 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "is_smd true" in proc.stdout
+
+
+def test_process_exit_code_of_an_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmpd.cli", "xy-gpath", "1", "99", str(GOLDEN / "fig1.gmpd")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error ValueError:")
 
 
 @st.composite

@@ -1,9 +1,11 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gmpd.construct import (
     _attach_by_path,
     _real_cycle_among,
-    _splice_candidates,
     absorb_to_spanning,
     good_gcycle_length_c,
     good_gpath_length_c_minus_1,
@@ -16,6 +18,7 @@ from gmpd.construct import (
 from gmpd.digraph import PartitionedDigraph, is_strong
 from gmpd.errors import NotSemicomplete, NotStrong
 from gmpd.factor import c_f, max_arc_gcycle_factor
+from gmpd.merging import _fold_path_cycle
 from gmpd.search import oracle_longest_gpath
 from gmpd.walks import (
     GFactor,
@@ -28,7 +31,13 @@ from gmpd.walks import (
     walk_length,
 )
 
-from conftest import brute_longest_gpath, random_smd_digraph
+from conftest import (
+    _splice_candidates,
+    brute_longest_gpath,
+    random_legal_order,
+    random_smd_digraph,
+    reference_fold_path_cycle,
+)
 
 
 def _random_tournament(n, seed):
@@ -150,10 +159,10 @@ def test_merge_path_cycle_trivial_cycle(fig1):
     assert walk_length(fig1, q) >= 2
 
 
-# one pair per shape family of _splice_candidates, in scan order: the cycle
-# opened then the path, the path then the cycle, the cycle inside the path,
-# and one cycle vertex moved in front of a path vertex; witnesses recorded
-# before the splice scan moved onto walks.first_fit
+# one pair per shape family of the reference _splice_candidates, in scan
+# order: the cycle opened then the path, the path then the cycle, the cycle
+# inside the path, and one cycle vertex moved in front of a path vertex;
+# witnesses recorded while every candidate was built and checked in full
 @pytest.mark.parametrize("family, spec, p_seq, c_seq, witness", [
     (1, (6, 4, 0.3, 1), (2, 5, 6), (1, 4, 3), (4, 3, 1, 2, 5, 6)),
     (2, (5, 3, 0.3, 18), (1,), (2, 3, 4, 5), (1, 2, 3, 4, 5)),
@@ -168,6 +177,34 @@ def test_merge_path_cycle_witness_pinned(family, spec, p_seq, c_seq, witness):
     starts = [0, t, 2 * t, 2 * t + (s - 1) * t]
     first = list(_splice_candidates(p_seq, c_seq)).index(witness)
     assert starts[family - 1] <= first < (starts + [float("inf")])[family]
+
+
+@st.composite
+def legal_path_cycle_pairs(draw):
+    """A random SMD with n 3-14 and a random legal path and legal cycle on
+    disjoint vertex sets of it, which need not cover it."""
+    n = draw(st.integers(3, 14))
+    d = random_smd_digraph(n, draw(st.integers(1, 5)), draw(st.sampled_from([0.0, 0.3, 0.7])),
+                           draw(st.integers(0, 10 ** 6)))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    vertices = list(d.vertices())
+    rng.shuffle(vertices)
+    s = draw(st.integers(1, n - 2))
+    t = draw(st.integers(2, n - s))
+    p = random_legal_order(d, vertices[:s], rng, False)
+    c = random_legal_order(d, vertices[s:s + t], rng, True)
+    assume(p is not None and c is not None)
+    return d, p, c
+
+
+@settings(max_examples=150)
+@given(legal_path_cycle_pairs())
+def test_fold_scorer_matches_the_reference(case):
+    d, p, c = case
+    target = walk_length(d, GWalk("path", p)) + walk_length(d, GWalk("cycle", c))
+    for floor in (target - 1, target, target + 1, len(p) + len(c) - 1):
+        assert _fold_path_cycle(d, p, c, floor) == reference_fold_path_cycle(d, p, c, floor)
+    assert _fold_path_cycle(d, p, c, target) is not None
 
 
 def test_longest_gpath_fig1(fig1):

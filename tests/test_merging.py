@@ -20,7 +20,7 @@ from gmpd.irreducible import spanning_gcycle_strong
 from gmpd.search import oracle_longest_spanning_gcycle
 from gmpd.walks import GWalk, canonical_cycle, walk_length
 
-from conftest import random_smd_digraph, reference_merge_scan
+from conftest import random_legal_order, random_smd_digraph, reference_merge_scan
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -179,7 +179,7 @@ def test_certificates_are_not_asserts(module):
 
 
 # one pair won by each stage of certified_merge_cycles, and one with no merge;
-# witnesses recorded before the splice scans moved onto walks.first_fit
+# witnesses recorded before the splice scans were scored in O(1)
 @pytest.mark.parametrize("stage, spec, c1, c2, floor, witness", [
     ("two_junction", (8, 3, 0.7, 0), (4, 3), (6, 7, 2, 1, 8, 5), 4, (1, 8, 5, 4, 3, 6, 7, 2)),
     ("two_junction", (7, 2, 0.5, 0), (4, 2, 3), (7, 1, 5, 6), 4, (1, 4, 2, 3, 5, 6, 7)),
@@ -202,24 +202,6 @@ def test_merge_cycles_witness_pinned(monkeypatch, stage, spec, c1, c2, floor, wi
     assert (reached or ["two_junction"])[-1] == stage
 
 
-def random_legal_cycle(d, vertices, rng):
-    """A cyclic order of the vertices whose every pair is an arc or a jump
-    inside one partite set, grown greedily from random choices, or None."""
-    for _ in range(30):
-        order = [rng.choice(vertices)]
-        left = sorted(set(vertices) - {order[0]})
-        while left:
-            steps = [v for v in left if (order[-1], v) in d.arcs or d.same_part(order[-1], v)]
-            if not steps:
-                break
-            order.append(rng.choice(steps))
-            left.remove(order[-1])
-        u, v = order[-1], order[0]
-        if not left and ((u, v) in d.arcs or d.same_part(u, v)):
-            return tuple(order)
-    return None
-
-
 @st.composite
 def legal_cycle_pairs(draw):
     """Two disjoint legal cycles of a random SMD with n 4-15: two cycles of
@@ -239,7 +221,8 @@ def legal_cycle_pairs(draw):
     vertices = list(d.vertices())
     rng.shuffle(vertices)
     cut = draw(st.integers(2, n - 2))
-    a, b = random_legal_cycle(d, vertices[:cut], rng), random_legal_cycle(d, vertices[cut:], rng)
+    a, b = (random_legal_order(d, vertices[:cut], rng, True),
+            random_legal_order(d, vertices[cut:], rng, True))
     assume(a is not None and b is not None)
     return d, a, b
 

@@ -11,7 +11,6 @@ from gmpd.walks import (
     cycle,
     decompose_segments,
     find_partner,
-    first_fit,
     insert_by_partners,
     is_good,
     is_spanning,
@@ -233,12 +232,3 @@ def test_arc_count_matches_walk_length(case):
     except IllegalPair:
         expected = None
     assert arc_count(d, w.seq, closed=w.kind == "cycle") == expected
-
-
-def test_first_fit_takes_the_first_legal_candidate_at_the_floor(fig1):
-    cands = [(3, 4), (1, 2, 3), (3, 5, 2, 4, 1)]
-    assert first_fit(fig1, cands, 2, closed=False) == (1, 2, 3)
-    assert first_fit(fig1, cands, 3, closed=False) == (3, 5, 2, 4, 1)
-    # closed, (1, 2, 3) fails on its wrap pair (3, 1)
-    assert first_fit(fig1, cands, 0, closed=True) == (3, 5, 2, 4, 1)
-    assert first_fit(fig1, cands, 6, closed=True) is None
