@@ -1,18 +1,21 @@
 """Exact desk-scale engines: Hamiltonicity, prescribed-end spanning walks,
 longest-walk oracles, and the jump-count metrics.
 
-The Hamiltonian-cycle and spanning (x,y)-walk engines answer first by a
-backward search over (vertex set, last vertex) states, smallest vertex
+The Hamiltonian, prescribed-end and longest-walk engines answer first by
+one backward search over (vertex set, last vertex) states, smallest vertex
 first, with unreachable sets cut and failed states kept; it returns the
-witness the subset table rebuilds, and the table is built only when the
-search expands more than n·n states.  Every subset dynamic program runs on
+witness the subset table rebuilds.  Every subset dynamic program runs on
 one kernel over tables of one uint32 word per vertex subset (the possible
 last vertices), vectorized over each popcount layer, so no engine takes
 more than 31 vertices, whichever answers.  The longest-walk oracles and
-the n-k decision count jumps, not arcs: level j of their table holds the
-ends reached with at most j jumps.  The n-k decision runs the Hamiltonian
-engine only on terminal sets of J feasible jump tails, for the fewest
-jumps J, read off those levels and the levels of the reversed instance.
+the n-k decision count jumps, not arcs: a walk with J = 0 jumps is a
+Hamiltonian path or cycle, which the search finds, and the
+Hamiltonian-cycle engine is that case; only when the search gives up after
+n·n states, or finds no J = 0 walk while more jumps are allowed, are jump
+levels built, level j holding the ends reached with at most j jumps.  The
+n-k decision runs the Hamiltonian engine only on terminal sets of J
+feasible jump tails, for the fewest jumps J, read off those levels and the
+levels of the reversed instance.
 Thresholds are configuration: an explicit argument wins, then the
 GMPD_EXACT_THRESHOLD environment variable, then the per-engine default.
 """
@@ -170,31 +173,40 @@ def _jump_levels(n: int, arc_in, jump_in, starts):
 
 
 def _fewest_jumps(d: PartitionedDigraph, starts, close: bool, cap: int):
-    """(levels, seq) for the fewest jumps J of a spanning legal sequence from
-    one of `starts` (0-based) that, with `close`, then steps into starts[0],
-    or None past `cap` jumps.  seq has J jumps; ties go to the smallest last
-    vertex, then the smallest predecessor."""
-    full = (1 << d.n) - 1
-    arc_in, jump_in = d.in_masks, _jump_in(d)
-    for levels in _jump_levels(d.n, arc_in, jump_in, starts):
+    """(J, seq, levels) for the fewest jumps J of a spanning legal sequence
+    from one of `starts` (0-based) that, with `close`, then steps into
+    starts[0], or None past `cap` jumps.  seq has J jumps; ties go to the
+    smallest last vertex, then the smallest predecessor.  J = 0 is a
+    Hamiltonian path or cycle, so the backward search runs first; the jump
+    levels are built only when it gives up, or finds none and cap > 0, and
+    levels is None when it answered."""
+    n, full, arc_in = d.n, (1 << d.n) - 1, d.in_masks
+    lasts = arc_in[starts[0]] if close else full
+    decided, seq = _ham_search(d.out_masks, arc_in, sum(1 << v for v in starts), full, lasts, n * n)
+    if seq:
+        return 0, seq, None
+    if decided and not cap:
+        return None
+    jump_in = _jump_in(d)
+    for levels in _jump_levels(n, arc_in, jump_in, starts):
         j = len(levels) - 1
         last = (_predecessor(levels, j, full, starts[0], arc_in, jump_in) if close
                 else levels[j][full] and (_lowest_bit_index(int(levels[j][full])), j))
         if last:
-            return levels, _reconstruct_path(levels, arc_in, full, *last, jump_in)
+            return j, _reconstruct_path(levels, arc_in, full, *last, jump_in), levels
         if j >= cap or j and levels[j] is levels[j - 1]:   # the levels stopped growing
             return None
 
 
-def _tail_mask(d: PartitionedDigraph, levels) -> int:
+def _tail_mask(d: PartitionedDigraph, jumps: int, levels) -> int:
     """The 0-based vertices x that jump on some spanning legal cycle with the
-    fewest jumps J = len(levels) - 1, from the cycle levels through 0: a
-    sequence from 0 over S to x with j jumps (levels[j][S]), a jump from x
-    to a partite mate z outside S, and a sequence from z over the rest and 0
-    into 0 with J - 1 - j jumps (the levels from 0 along reversed arcs).
-    S = every vertex leaves z = 0: the jump closes the cycle.  No cycle of
-    fewer jumps exists, so every such split has exactly J."""
-    jumps = len(levels) - 1
+    fewest jumps J = `jumps`, from the cycle levels through 0, which it reads
+    only when J > 0: a sequence from 0 over S to x with j jumps
+    (levels[j][S]), a jump from x to a partite mate z outside S, and a
+    sequence from z over the rest and 0 into 0 with J - 1 - j jumps (the
+    levels from 0 along reversed arcs).  S = every vertex leaves z = 0: the
+    jump closes the cycle.  No cycle of fewer jumps exists, so every such
+    split has exactly J."""
     if not jumps:
         return 0
     jump_in = _jump_in(d)
@@ -222,33 +234,36 @@ def _reach_dp_fast(n: int, in_mask, start: int) -> np.ndarray:
     return dp
 
 
-def _ham_search(out_masks, in_masks, start: int, mask: int, lasts: int, budget):
-    """(decided, seq): seq is the path over `mask` from `start` to a vertex
-    of `lasts` that the subset tables rebuild, or None when there is none;
-    decided is False, and seq None, once more than `budget` states (S, v)
-    have expanded.
+def _ham_search(out_masks, in_masks, starts: int, mask: int, lasts: int, budget):
+    """(decided, seq): seq is the path over `mask` from a vertex of `starts`
+    to a vertex of `lasts` that the subset tables rebuild, or None when there
+    is none; decided is False, and seq None, once more than `budget` states
+    (S, v) have expanded.
 
     The search runs backwards from the last vertices in ascending order,
     smallest predecessor first, the order in which `_reconstruct_path` picks
     the smallest predecessor that has a completion, so the first path found
-    is the table's.  A state is cut unless `start` reaches all of S and all
-    of S reaches v inside S, and every failed state is kept."""
+    is the table's.  A state is cut unless all of S reaches v inside S and,
+    with a single start, the start reaches all of S; every failed state is
+    kept."""
     expanded, failed = 0, set()
+    start = None if starts & (starts - 1) else starts.bit_length() - 1
 
     def back(s: int, v: int):
         nonlocal expanded
         if s == 1 << v:
-            return [v] if v == start else None
+            return [v] if starts >> v & 1 else None
         if (s, v) in failed:
             return None
         expanded += 1
         if expanded > budget:
             return None
-        if _closure(out_masks, start, s) == s and _closure(in_masks, v, s) == s:
+        if ((start is None or _closure(out_masks, start, s) == s)
+                and _closure(in_masks, v, s) == s):
             rest = s ^ 1 << v
             preds = in_masks[v] & rest
-            if rest != 1 << start:
-                preds &= ~(1 << start)   # `start` is the first vertex, never an inner one
+            if start is not None and rest != starts:
+                preds &= ~starts   # the one start is the first vertex, never an inner one
             for u in _bits(preds):
                 seq = back(rest, u)
                 if seq:
@@ -257,30 +272,26 @@ def _ham_search(out_masks, in_masks, start: int, mask: int, lasts: int, budget):
         failed.add((s, v))
         return None
 
+    seq = None
     for last in _bits(lasts):
         seq = back(mask, last)
         if seq:
-            return True, seq
-    return expanded <= budget, None
+            break
+    del back   # `back` refers to itself: free its failed states now, not at the next collection
+    return (True, seq) if seq else (expanded <= budget, None)
 
 
 def exact_ham_cycle(
     d: PartitionedDigraph, threshold: Optional[int] = None
 ) -> Optional[GWalk]:
     """Exact Hamiltonian-cycle search; accepts augmented instances.  The
-    backward search answers first; the subset table runs only when the
-    search expands more than n·n states."""
-    n = d.n
-    _check_size(n, DEFAULT_HAM_THRESHOLD, threshold)
-    if n < 2:
+    zero-jump case of `_fewest_jumps`: the backward search answers first,
+    and the subset table runs only when it gives up."""
+    _check_size(d.n, DEFAULT_HAM_THRESHOLD, threshold)
+    found = d.n > 1 and _fewest_jumps(d, [0], True, 0)
+    if not found:
         return None
-    decided, seq = _ham_search(d.out_masks, d.in_masks, 0, (1 << n) - 1, d.in_masks[0], n * n)
-    if not decided:
-        found = _fewest_jumps(d, [0], True, 0)
-        seq = found and found[1]
-    if seq is None:
-        return None
-    cyc = canonical_cycle(GWalk("cycle", tuple(v + 1 for v in seq)))
+    cyc = canonical_cycle(GWalk("cycle", tuple(v + 1 for v in found[1])))
     for u, v in cyc.pairs():
         if (u, v) not in d.arcs:
             raise CertificateError(f"Hamiltonian cycle uses the non-arc ({u},{v})")
@@ -307,7 +318,7 @@ def exact_xy_spanning_gpath(
     in_mask = [arcs | jumps for arcs, jumps in zip(d.in_masks, jump_in)]
     out_mask = [arcs | jumps for arcs, jumps in zip(d.out_masks, jump_in)]
     rest = (1 << n) - 1 ^ 1 << (y - 1)
-    decided, seq = _ham_search(out_mask, in_mask, x - 1, rest, in_mask[y - 1], n * n)
+    decided, seq = _ham_search(out_mask, in_mask, 1 << x - 1, rest, in_mask[y - 1], n * n)
     if not decided:
         # y may only be the last step, so the table never enters it
         dp = _reach_dp_fast(n, [0 if v == y - 1 else m for v, m in enumerate(in_mask)], x - 1)
@@ -332,19 +343,20 @@ def _max_arc_walk(
     (0-based), or None, also past `cap` jumps; with `close` the one start is
     also the last step's head, so the sequence is a cycle.  Every step is an
     arc or a jump, so the most arcs is n - J on a cycle and n - 1 - J on a
-    path, for the fewest jumps J."""
+    path, for the fewest jumps J of `_fewest_jumps`: a zero-jump answer comes
+    from the backward search, and jump levels are built only past it."""
     n = d.n
     found = _fewest_jumps(d, starts, close, n if cap is None else cap)
     if found is None:
         return None
-    levels, seq = found[0], tuple(v + 1 for v in found[1])
-    jumps = len(levels) - 1
+    jumps, seq, levels = found
     arcs = (n if close else n - 1) - jumps
     # a longest generalized path can always be grown to a spanning one: no
-    # level may hold a shorter path with more arcs
-    for j, level in enumerate([] if close else levels[:-1]):
-        if int(np.bitwise_count(np.flatnonzero(level)).max()) - j > n - jumps:
+    # level below J may hold a shorter path with more arcs
+    for j in range(0 if close else jumps):
+        if int(np.bitwise_count(np.flatnonzero(levels[j])).max()) - j > n - jumps:
             raise CertificateError("no spanning generalized path attains the maximum arc count")
+    seq = tuple(v + 1 for v in seq)
     walk = canonical_cycle(GWalk("cycle", seq)) if close else GWalk("path", seq)
     if walk_length(d, walk) != arcs:
         raise CertificateError(f"the max-arc {walk.kind} does not have {arcs} arcs")
@@ -402,11 +414,10 @@ def spanning_gcycle_at_least(
     found = _fewest_jumps(d, [0], True, k)
     if found is None:
         return None
-    levels, seq = found
-    jumps = len(levels) - 1
+    jumps, seq, levels = found
     if d.n - bound > jumps:
         raise CertificateError(f"a cycle with {jumps} jumps beats the bound {bound}")
-    tails, part = _tail_mask(d, levels), d.part_vector
+    tails, part = _tail_mask(d, jumps, levels), d.part_vector
     if any(part[u] == part[v] and not tails >> u & 1 for u, v in zip(seq, seq[1:] + seq[:1])):
         raise CertificateError("a fewest-jump cycle jumps from outside the tail mask")
     for x_set in combinations([v + 1 for v in _bits(tails)], jumps):

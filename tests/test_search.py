@@ -255,8 +255,9 @@ def test_tail_mask_is_the_union_of_the_working_sets(d):
     found = search._fewest_jumps(d, [0], True, d.n)
     assert (found is None) == (not working)
     if found:
-        assert len(found[0]) - 1 == size
-        assert search._tail_mask(d, found[0]) == sum({1 << v - 1 for x in working for v in x})
+        jumps, _, levels = found
+        assert jumps == size and (levels is None or len(levels) - 1 == size)
+        assert search._tail_mask(d, jumps, levels) == sum({1 << v - 1 for x in working for v in x})
 
 
 def test_at_least_searches_one_terminal_set_on_fig2(monkeypatch):
@@ -268,18 +269,18 @@ def test_at_least_searches_one_terminal_set_on_fig2(monkeypatch):
         calls.append(sorted(dx.arcs - d.arcs))
         return exact_ham_cycle(dx, threshold)
 
-    levels = search._fewest_jumps(d, [0], True, 2)[0]
-    assert search._tail_mask(d, levels) == sum(1 << v - 1 for v in (7, 8, 9, 10, 11, 12, 15, 16))
+    jumps, _, levels = search._fewest_jumps(d, [0], True, 2)
+    assert search._tail_mask(d, jumps, levels) == sum(1 << v - 1 for v in (7, 8, 9, 10, 11, 12, 15, 16))
     monkeypatch.setattr(search, "exact_ham_cycle", spy)
     got = spanning_gcycle_at_least(d, 2)
     assert len(calls) == 1 and {u for u, _ in calls[0]} == {7, 8}
     assert got == reference_spanning_gcycle_at_least(d, 2)
 
 
-def _witness_tails_dropped(d, levels, tail_mask=search._tail_mask):
+def _witness_tails_dropped(d, jumps, levels, tail_mask=search._tail_mask):
     seq, part = search._fewest_jumps(d, [0], True, d.n)[1], d.part_vector
     own = sum(1 << u for u, v in zip(seq, seq[1:] + seq[:1]) if part[u] == part[v])
-    return tail_mask(d, levels) & ~own
+    return tail_mask(d, jumps, levels) & ~own
 
 
 @pytest.mark.parametrize("name, value", [
@@ -294,10 +295,16 @@ def test_at_least_raises_when_the_enumeration_contradicts_the_levels(monkeypatch
         spanning_gcycle_at_least(fig2().digraph, 3)
 
 
-def test_popcount_layers_keep_every_size():
+def _undecided(*args):
+    """A `_ham_search` that always gives up, so every engine builds its tables."""
+    return False, None
+
+
+def test_popcount_layers_keep_every_size(monkeypatch):
     """The layer cache holds one entry per size, so a second pass over more
-    sizes than the old eight-entry cache held rebuilds nothing.  The cycle
-    oracle always builds its jump levels."""
+    sizes than the old eight-entry cache held rebuilds nothing.  The search
+    gives up, so the cycle oracle builds its jump levels at every size."""
+    monkeypatch.setattr(search, "_ham_search", _undecided)
     search._popcount_layers.cache_clear()
     sizes = range(3, 13)
     for _ in range(2):
@@ -311,7 +318,7 @@ def _both_engines(call):
     from the subset tables alone."""
     unbounded = search._ham_search
     answers = []
-    for stub in (lambda *args: unbounded(*args[:-1], float("inf")), lambda *args: (False, None)):
+    for stub in (lambda *args: unbounded(*args[:-1], float("inf")), _undecided):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search, "_ham_search", stub)
             answers.append(call())
@@ -322,8 +329,9 @@ def _both_engines(call):
 @given(random_smds(1, 12), st.data())
 def test_backward_search_returns_the_table_witness(d, data):
     """With its budget lifted, the backward search gives every verdict and
-    witness of the tables, for cycles, cycles of augmented instances and
-    spanning (x,y)-walks."""
+    witness of the tables: for cycles, cycles of augmented instances,
+    spanning (x,y)-walks, both longest-walk oracles, the n-k decision and
+    the capped cycle search of the lossy merge."""
     n = d.n
     terminals = data.draw(st.sets(st.integers(1, n), max_size=3))
     dx = augment_terminals(d, terminals)
@@ -332,6 +340,14 @@ def test_backward_search_returns_the_table_witness(d, data):
     for _ in range(3 if n > 1 else 0):
         x, y = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
         found, table = _both_engines(lambda: exact_xy_spanning_gpath(d, x, y, threshold=n))
+        assert found == table
+    calls = [lambda: oracle_longest_spanning_gcycle(d, threshold=n),
+             lambda: oracle_longest_gpath(d, threshold=n)]
+    calls += [lambda k=k: spanning_gcycle_at_least(d, k, threshold=n) for k in (0, 1, 2)]
+    floor = data.draw(st.integers(0, n - 1))   # `_dp_merge`: floor < n allows n - floor jumps
+    calls.append(lambda: search._max_arc_walk(d, [0], True, n - floor))
+    for call in calls:
+        found, table = _both_engines(call)
         assert found == table
 
 
@@ -353,6 +369,17 @@ def test_xy_gpath_yes_at_n20_builds_no_table(monkeypatch):
     d = random_smd_digraph(20, 4, 0.5, 0)
     walk = exact_xy_spanning_gpath(d, 13, 14)
     assert walk.seq[0] == 13 and walk.seq[-1] == 14 and is_spanning(d, walk)
+
+
+def test_zero_jump_oracles_at_n18_build_no_table(monkeypatch):
+    """A random n = 18 instance with a Hamiltonian cycle: both oracles find
+    their zero-jump witness by the backward search alone."""
+    monkeypatch.setattr(search, "_push_layers", lambda *args: pytest.fail("a table was built"))
+    d = random_smd_digraph(18, 4, 0.5, 0)
+    arcs, cycle = oracle_longest_spanning_gcycle(d, threshold=d.n)
+    assert arcs == 18 and is_spanning(d, cycle) and walk_length(d, cycle) == 18
+    arcs, path = oracle_longest_gpath(d)
+    assert arcs == 17 and is_spanning(d, path) and walk_length(d, path) == 17
 
 
 def test_at_least_bound_decides_no_past_the_size_cap():
@@ -546,16 +573,14 @@ def test_at_least_zero_is_the_exact_hamiltonian_cycle(d):
     assert spanning_gcycle_at_least(d, 0) == exact_ham_cycle(d)
 
 
-def test_at_least_zero_runs_one_subset_table(monkeypatch):
-    """k = 0 on a Hamiltonian instance builds the level-0 table once: the
-    empty terminal set is not searched again."""
-    runs = []
-
-    def spy(*args, _fn=search._push_layers):
-        runs.append(args[0])
-        return _fn(*args)
-
-    monkeypatch.setattr(search, "_push_layers", spy)
+def test_at_least_zero_builds_no_subset_table(monkeypatch):
+    """k = 0 on a Hamiltonian instance is answered by the backward search
+    alone: no subset table is built, and the empty terminal set is not
+    searched again."""
+    searches = []
+    monkeypatch.setattr(search, "_push_layers", lambda *args: pytest.fail("a table was built"))
+    monkeypatch.setattr(search, "_ham_search", lambda *args, _fn=search._ham_search:
+                        searches.append(args[2]) or _fn(*args))
     d = fig1_instance().digraph
     w = spanning_gcycle_at_least(d, 0)
-    assert runs == [d.n] and walk_length(d, w) == d.n
+    assert searches == [1] and walk_length(d, w) == d.n
