@@ -204,9 +204,13 @@ def longest_gpath(d: PartitionedDigraph) -> GWalk:
     """
     d.require_smd()
     path, remainder = max_arc_path_cycle_subdigraph(d)
-    total = walk_length(d, path) + remainder.arc_count(d)
-    for cyc in sorted(remainder.cycles, key=lambda c: c.seq[0]):
-        path = merge_path_cycle(d, path, cyc)
+    seq, total = path.seq, walk_length(d, path)
+    for cyc in remainder.cycles:   # in order of their first vertex
+        total += walk_length(d, cyc)
+        seq = _fold_path_cycle(d, seq, cyc.seq, total)
+        if seq is None:
+            raise CertificateError(f"no splice shape keeps the {total} arcs of both walks")
+    path = GWalk("path", seq)
     got = walk_length(d, path)
     if got != total or not is_spanning(d, path):
         raise CertificateError(f"the folded path is not spanning with {total} arcs")

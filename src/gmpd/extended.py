@@ -44,7 +44,7 @@ def _merge(d: PartitionedDigraph, c1: GWalk, c2: GWalk) -> GWalk:
     """The no-loss merge of two disjoint legal cycles of an extended instance
     that share a partite set or are linked both ways."""
     floor = arc_count(d, c1.seq, True) + arc_count(d, c2.seq, True)
-    found = _merge_legal(d, c1, c2, floor)
+    found = _merge_legal(d, (c1, c2), floor)
     if found is None:
         raise CertificateError(f"the linked cycles have no merge keeping {floor} arcs")
     return found[0]

@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 from .digraph import PartitionedDigraph, validate
 from .errors import CertificateError, NotBipartite, NotStrong, PreconditionUnmet, TooLarge
 from .factor import max_arc_gcycle_factor
-from .merging import _merge_legal, certified_merge_cycles, certified_multi_merge
+from .merging import _merge_legal, certified_merge_cycles
 from .walks import (
     GFactor,
     GWalk,
@@ -135,7 +135,7 @@ def _make_irreducible(d: PartitionedDigraph, f: GFactor) -> IrreducibleFactor:
                 if (a.seq, b.seq) in failed:
                     continue
                 try:
-                    m = _merge_legal(d, a, b, length[a.seq] + length[b.seq])
+                    m = _merge_legal(d, (a, b), length[a.seq] + length[b.seq])
                 except TooLarge:
                     if relation(d, a, b) not in (LEFT_OVER, RIGHT_OVER):
                         raise
@@ -178,12 +178,12 @@ def _make_irreducible(d: PartitionedDigraph, f: GFactor) -> IrreducibleFactor:
         i, j, l = triangle
         group = [cycles[x] for x in (i, j, l)]
         floor = sum(length[c.seq] for c in group)
-        merged_cycle = certified_multi_merge(d, group, floor)
-        if merged_cycle is None:
+        found = _merge_legal(d, group, floor)
+        if found is None:
             raise CertificateError(f"dominance triangle {triangle} did not collapse")
-        length[merged_cycle.seq] = walk_length(d, merged_cycle)
+        length[found[0].seq] = found[1]
         cycles = [c for x, c in enumerate(cycles) if x not in (i, j, l)]
-        cycles.append(merged_cycle)
+        cycles.append(found[0])
         cycles.sort(key=lambda c: c.seq[0])
 
 
@@ -271,18 +271,12 @@ def spanning_gcycle_strong(
     cprime = count_nontrivial_parts(d)
     per_group_loss = 1 if cprime <= 1 else 2
     lower = cf - 1 if cprime <= 1 else cf - 2 * cprime
+    cert = {"c_f": cf, "c_prime": cprime, "lower_bound": lower}
     if report.is_extended:
         from .extended import _spanning_gcycle_extsd
 
         cyc = _spanning_gcycle_extsd(d, factor)
-        cert = {
-            "c_f": cf,
-            "c_prime": cprime,
-            "lower_bound": lower,
-            "length": walk_length(d, cyc),
-            "route": "extended",
-        }
-        return cyc, cert
+        return cyc, {**cert, "length": walk_length(d, cyc), "route": "extended"}
     irr = _make_irreducible(d, factor)
     cycles = list(irr.cycles)
     while len(cycles) > 1:
@@ -296,36 +290,27 @@ def spanning_gcycle_strong(
             raise CertificateError("no cycle shares a partite set with the chain head")
         group = cycles[: j + 1]
         floor = sum(walk_length(d, c) for c in group) - per_group_loss
-        merged = None
-        if len(group) == 2:
-            merged = certified_merge_cycles(d, group[0], group[1], floor)
-        if merged is None:
-            merged = certified_multi_merge(d, group, floor)
-        if merged is None:
+        found = _merge_legal(d, group, floor)
+        if found is None:
             raise CertificateError(f"no group merge within the loss budget of {per_group_loss}")
-        rest = cycles[j + 1:]
-        refolded = make_irreducible(
-            d, GFactor(tuple([merged] + rest))
-        ) if rest else None
-        cycles = list(refolded.cycles) if refolded else [merged]
+        # the merged cycle is certified and the rest come from a validated
+        # irreducible factor; the refold still validates the spanning factor
+        merged, rest = found[0], cycles[j + 1:]
+        cycles = list(_make_irreducible(d, GFactor((merged, *rest))).cycles) if rest else [merged]
     result = canonical_cycle(cycles[0])
     length = walk_length(d, result)
     if length < lower:
-        rescue = certified_multi_merge(d, irr.cycles, lower)
-        if rescue is None:
+        # reached only with three or more irreducible cycles (with two, the
+        # one group merge keeps c_f - per_group_loss >= lower arcs), so
+        # `_merge_legal` answers it by the exact search on their union
+        found = _merge_legal(d, irr.cycles, lower)
+        if found is None:
             raise CertificateError(f"no spanning cycle reaches the bound {lower}")
-        result, length = rescue, walk_length(d, rescue)
+        result, length = found
     if len(result.seq) != d.n or length < lower:
         raise CertificateError(f"result spans {len(result.seq)} of {d.n} vertices with"
                                f" {length} arcs, bound {lower}")
-    cert = {
-        "c_f": cf,
-        "c_prime": cprime,
-        "lower_bound": lower,
-        "length": length,
-        "route": "irreducible",
-    }
-    return result, cert
+    return result, {**cert, "length": length, "route": "irreducible"}
 
 
 @dataclass

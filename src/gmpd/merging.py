@@ -1,24 +1,20 @@
 """Certified cycle-merge search shared by the extended-digraph and
 irreducible-factor engines, and the scored fold of a cycle into a path
-behind `construct.merge_path_cycle`.  Every merge of the extended route is
-`_merge_legal` at the floor of the two cycles' summed arcs; a two-junction
-splice always reaches it there.
-
-Both input cycles are validated first.  A no-loss merge (floor at least the
-union's size) must be a Hamiltonian cycle of real arcs on the induced union,
-so it is answered "no" before any scan when the floor exceeds the union's
-size or the union is not strong.  Otherwise candidates are splice shapes:
-the two cycles interleaved as one segment each (two junctions) or two
-segments each (four junctions).  Only the junction pairs differ from the
-input cycles' pairs, so each candidate is scored in O(1) from the cycles'
-arc counts, the gains of the cut pairs and the gains of the junctions; the
-first candidate legal with at least the floor's arcs is built and certified
-by the walk validator.  When no shape fits, a strong no-loss union small
-enough is settled by the exact Hamiltonian search, and a merge that may
-lose arcs falls back to the exact longest-cycle search on small unions.  A
-strong no-loss union past that cap whose cycles are both within it is
-searched block by block: one Hamiltonian path of each cycle's vertices,
-joined by two arcs."""
+behind `construct.merge_path_cycle`.  `_merge_legal` merges any number of
+disjoint cycles already known to be legal; `certified_merge_cycles`
+validates two cycles first.  Three or more go to the exact search on their
+union.  For two, a no-loss merge (floor at least the union's size) is a
+Hamiltonian cycle of real arcs on the strong induced union, so a larger
+floor or a union that is not strong is answered "no" before any scan.
+Otherwise candidates are splice shapes: the cycles interleaved as one
+segment each (two junctions) or two each (four junctions), each scored in
+O(1) from the cycles' arc counts and the gains of the cut pairs and the
+junctions; the first with at least the floor's arcs is built and certified.
+When no shape fits, the exact search settles small unions; a strong no-loss
+union past its cap whose cycles are both within it is searched block by
+block: one Hamiltonian path of each cycle's vertices, joined by two arcs.
+An extended instance's merges keep the two cycles' summed arcs, which a
+two-junction splice always reaches."""
 
 from typing import Optional, Tuple
 
@@ -173,36 +169,38 @@ def certified_merge_cycles(
         raise ValueError("cycles must be vertex-disjoint")
     validate_walk(d, c1)
     validate_walk(d, c2)
-    found = _merge_legal(d, c1, c2, floor)
+    found = _merge_legal(d, (c1, c2), floor)
     return None if found is None else found[0]
 
 
-def _merge_legal(
-    d: PartitionedDigraph, c1: GWalk, c2: GWalk, floor: int
-) -> Optional[Tuple[GWalk, int]]:
-    """certified_merge_cycles for two disjoint cycles already known to be
-    legal: the merged cycle with its certified arc count, or None."""
-    union = set(c1.seq) | set(c2.seq)
-    if _no_loss_impossible(d, union, floor):
-        return None
-    best = _interleave_two(d, c1.seq, c2.seq, floor)
-    if best is None:
+def _merge_legal(d: PartitionedDigraph, cycles, floor: int) -> Optional[Tuple[GWalk, int]]:
+    """A cycle on the union of disjoint cycles already known to be legal with
+    at least `floor` arcs, with its certified arc count, or None when
+    provably none exists.  Two cycles take the no-loss reject and the splice
+    ladder before the exact search; three or more go to the exact search on
+    their union."""
+    union = {v for c in cycles for v in c.seq}
+    best = None
+    if len(cycles) == 2:
+        if _no_loss_impossible(d, union, floor):
+            return None
+        c1, c2 = cycles
+        best = _interleave_two(d, c1.seq, c2.seq, floor)
         for host, piece_cycle in ((c1, c2), (c2, c1)):
+            if best is not None:
+                break
             for i in range(len(piece_cycle.seq)):
-                piece = open_cycle(piece_cycle, i)
                 try:
-                    merged = insert_by_partners(d, piece, host)
+                    merged = insert_by_partners(d, open_cycle(piece_cycle, i), host)
                 except HypothesisUnmet:
                     continue
                 if walk_length(d, merged) >= floor:
                     best = merged.seq
                     break
-            if best is not None:
-                break
-    if best is None:
-        best = _interleave_four(d, c1.seq, c2.seq, floor)
-    if best is None and floor >= len(union) > DP_FALLBACK_CAP >= max(len(c1.seq), len(c2.seq)):
-        best = _two_block(d, c1.seq, c2.seq)
+        if best is None:
+            best = _interleave_four(d, c1.seq, c2.seq, floor)
+        if best is None and floor >= len(union) > DP_FALLBACK_CAP >= max(len(c1.seq), len(c2.seq)):
+            best = _two_block(d, c1.seq, c2.seq)
     if best is None:
         merged = _dp_merge(d, union, floor)
         return None if merged is None else (merged, walk_length(d, merged))
@@ -237,10 +235,3 @@ def _dp_merge(d: PartitionedDigraph, vertices, floor: int) -> Optional[GWalk]:
         return None
     return _certified(d, tuple(old[v - 1] for v in found.seq), floor)[0]
 
-
-def certified_multi_merge(
-    d: PartitionedDigraph, cycles, floor: int
-) -> Optional[GWalk]:
-    """Spanning cycle over the union of several disjoint cycles with at least
-    `floor` arcs, found by exact subset search on the union."""
-    return _dp_merge(d, {v for c in cycles for v in c.seq}, floor)

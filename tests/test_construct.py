@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gmpd import construct, walks
 from gmpd.construct import (
     _attach_by_path,
     _real_cycle_among,
@@ -210,6 +211,30 @@ def test_fold_scorer_matches_the_reference(case):
 def test_longest_gpath_fig1(fig1):
     w = longest_gpath(fig1)
     assert walk_length(fig1, w) == 4 and is_spanning(fig1, w)
+
+
+def test_longest_gpath_validates_each_walk_once(monkeypatch):
+    """The route carries the cover's arc total through its folds: it checks
+    the cover path, each cover cycle and the final path once each."""
+    covers, checked = [], []
+
+    def spy_cover(d, _fn=construct.max_arc_path_cycle_subdigraph):
+        covers.append(_fn(d))
+        return covers[-1]
+
+    def spy_walk(d, w, _fn=walks.validate_walk):
+        checked.append(w)
+        return _fn(d, w)
+
+    monkeypatch.setattr(construct, "max_arc_path_cycle_subdigraph", spy_cover)
+    monkeypatch.setattr(walks, "validate_walk", spy_walk)
+    d = random_smd_digraph(20, 3, 0.4, 1)
+    got = longest_gpath(d)
+    cover_path, remainder = covers[0]
+    assert len(remainder.cycles) == 5
+    assert checked[0] is cover_path and checked[-1] is got
+    assert [sum(w is c for w in checked) for c in remainder.cycles] == [1] * 5
+    assert len(checked) == 2 + len(remainder.cycles)
 
 
 def test_longest_gpath_matches_oracle_and_brute():

@@ -1,9 +1,16 @@
+import hashlib
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
-from gmpd import digraph, irreducible, walks
+from gmpd import digraph, irreducible, merging, walks
 from gmpd.digraph import PartitionedDigraph, augment_terminals, is_strong
 from gmpd.errors import (
     AugmentedInput,
+    CertificateError,
+    HypothesisUnmet,
     IllegalPair,
     NotBipartite,
     NotSemicomplete,
@@ -12,6 +19,7 @@ from gmpd.errors import (
     TooLarge,
 )
 from gmpd.factor import c_f, max_arc_gcycle_factor
+from gmpd.generators import fig2, random_smd
 from gmpd.irreducible import (
     FEASIBLE,
     IN_SINGULAR,
@@ -35,6 +43,8 @@ from gmpd.search import oracle_longest_spanning_gcycle
 from gmpd.walks import GFactor, GWalk, cycle, is_spanning, validate_walk, walk_length
 
 from conftest import fig1_digraph, random_smd_digraph
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_singular_status_cases():
@@ -357,3 +367,70 @@ def test_strong_route_errors_keep_their_order():
         spanning_gcycle_strong(PartitionedDigraph([1, 2, 3], [(1, 2), (2, 3)]))
     with pytest.raises(NotStrong):
         spanning_gcycle_strong(PartitionedDigraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]))
+
+
+def group_loop_inputs():
+    """Strong instances whose route reaches the group loop: (name, instance).
+    The chain draws need `perfbench` on the import path."""
+    import workloads
+
+    yield "fig2", fig2().digraph
+    yield "random 6 3 0.6 379", random_smd(6, 3, 0.6, 379).digraph
+    for seed in (20, 27):
+        rng = random.Random(seed)
+        yield f"chain 6 20 5 {seed}", PartitionedDigraph(*workloads.chain(6, 20, 5, rng))
+
+
+# sha256 of repr(spanning_gcycle_strong(d)), and the group sizes merged on the way
+GROUP_LOOP_PINS = {
+    "fig2": ("7ff0cd3fe78eed9a142c8fd565b35e9eaa194b18d9e54cac684dec04f5fe0204", [5, 2]),
+    "random 6 3 0.6 379": ("f2b4e69ef26b9f39b7b7134411f9041c2f02e8c23ac8d63094191e68eb8006b2", [2]),
+}
+
+
+def test_group_loop_answers_are_pinned(monkeypatch):
+    """Each group of the strong route is one merge call, and the answers keep
+    their pinned digests; the six-cycle group of two 120-vertex chain draws
+    is refused by the exact search."""
+    groups = []
+
+    def spy(d, cycles, floor, _fn=irreducible._merge_legal):
+        if sys._getframe(1).f_code.co_name == "spanning_gcycle_strong":
+            groups.append(len(cycles))
+        return _fn(d, cycles, floor)
+
+    monkeypatch.setattr(irreducible, "_merge_legal", spy)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name, d in group_loop_inputs():
+        groups.clear()
+        if name in GROUP_LOOP_PINS:
+            answer = repr(spanning_gcycle_strong(d))
+            assert (hashlib.sha256(answer.encode()).hexdigest(), groups) == GROUP_LOOP_PINS[name]
+        else:
+            with pytest.raises(TooLarge) as err:
+                spanning_gcycle_strong(d)
+            assert str(err.value) == "instance size 120 exceeds exact-search threshold 18"
+            assert groups == [6]
+
+
+def test_failed_two_cycle_group_is_searched_once(monkeypatch):
+    """A two-cycle group that no splice and no exact search merges raises
+    after one exact search of its union at its floor, not two."""
+    def unmet(*args):
+        raise HypothesisUnmet("no partner insertion")
+
+    searched = []
+
+    def no_merge(d, vertices, floor):
+        searched.append((frozenset(vertices), floor))
+        return None
+
+    for name in ("_interleave_two", "_interleave_four", "_two_block"):
+        monkeypatch.setattr(merging, name, lambda *args: None)
+    monkeypatch.setattr(merging, "insert_by_partners", unmet)
+    monkeypatch.setattr(merging, "_dp_merge", no_merge)
+    d = random_smd(6, 3, 0.6, 379).digraph
+    with pytest.raises(CertificateError, match="loss budget"):
+        spanning_gcycle_strong(d)
+    # the irreducible ordering's no-loss search, then the group's at c_f - 2
+    assert searched == [(frozenset(range(1, 7)), 6), (frozenset(range(1, 7)), 4)]
