@@ -13,14 +13,13 @@ explicit certificate: a permutation of tight pairs under feasible duals
 whose total is the solve's optimum; otherwise CertificateError is raised.
 """
 
-from itertools import chain
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .digraph import PartitionedDigraph
 from .errors import CertificateError, Degenerate, NoFactor
-from .walks import GFactor, GWalk, canonical_cycle, validate_factor
+from .walks import GFactor, GWalk, arc_count, canonical_cycle, validate_factor
 
 INF = 10 ** 9
 _INF_CUT = 10 ** 8
@@ -34,16 +33,17 @@ class Assignment(NamedTuple):
     v: np.ndarray        # column duals
 
 
-def solve_assignment(cost: List[List[int]]) -> Optional[Assignment]:
+def solve_assignment(cost: np.ndarray | List[List[int]]) -> Optional[Assignment]:
     """Exact min-cost perfect assignment with optimal duals.
 
     Costs are nonnegative; entries >= 10**8 are forbidden.  A greedy
     matching on cost-0 pairs with zero duals starts it (feasible, since no
-    cost is negative).  Each row left unmatched then runs one shortest
-    augmenting path (Dijkstra on reduced costs, columns scanned with numpy)
-    and the duals are updated so that c - u - v stays >= 0 everywhere and 0
-    on matched pairs.  Returns None when no feasible assignment exists.
-    0-based indices.
+    cost is negative): each row in order takes its lowest free cost-0
+    column, read from the rows as bitmasks.  Each row left unmatched then
+    runs one shortest augmenting path (Dijkstra on reduced costs, columns
+    scanned with numpy) and the duals are updated so that c - u - v stays
+    >= 0 everywhere and 0 on matched pairs.  Returns None when no feasible
+    assignment exists.  0-based indices.
     """
     c = np.asarray(cost, dtype=np.int64)
     if (c < 0).any():
@@ -51,13 +51,10 @@ def solve_assignment(cost: List[List[int]]) -> Optional[Assignment]:
     n = len(c)
     u = np.zeros(n, dtype=np.int64)
     v = np.zeros(n, dtype=np.int64)
+    succ = _greedy_start(c)
+    matched = np.array(succ, dtype=np.int64)
     owner = np.full(n, -1, dtype=np.int64)   # owner[j] = row matched to column j
-    succ = [-1] * n
-    for i in range(n):
-        free = np.flatnonzero((c[i] == 0) & (owner < 0))
-        if free.size:
-            succ[i] = int(free[0])
-            owner[free[0]] = i
+    owner[matched[matched >= 0]] = np.flatnonzero(matched >= 0)
     for root in range(n):
         if succ[root] >= 0:
             continue
@@ -104,7 +101,19 @@ def _bitmasks(rows: np.ndarray) -> List[int]:
     return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
-def lexmin_assignment(cost: List[List[int]]) -> Optional[Tuple[int, List[int]]]:
+def _greedy_start(c: np.ndarray) -> List[int]:
+    """For each row in order, the lowest cost-0 column that no earlier row
+    took, or -1 when none is left."""
+    succ, taken = [], 0
+    for zeros in _bitmasks(c == 0):
+        free = zeros & ~taken
+        low = free & -free
+        taken |= low
+        succ.append(low.bit_length() - 1)
+    return succ
+
+
+def lexmin_assignment(cost: np.ndarray | List[List[int]]) -> Optional[Tuple[int, List[int]]]:
     """Optimal assignment whose successor map is lexicographically smallest.
 
     One solve gives the optimum and its duals.  Rows are then fixed in
@@ -200,15 +209,27 @@ def _succ_cycles(succ: List[int]) -> List[List[int]]:
     return cycles
 
 
+def _cost_grid(d: PartitionedDigraph, pad: int = 0) -> np.ndarray:
+    """Square int64 cost grid of the completion, read off the adjacency
+    masks: 0 for an arc, 1 for a same-partite jump, INF for a forbidden
+    pair and on the diagonal.  With pad = 1 it gains the dummy vertex of
+    `max_arc_path_cycle_subdigraph`, joined both ways to every vertex at
+    cost 0."""
+    n, width = d.n, d.n // 8 + 1
+    raw = b"".join(m.to_bytes(width, "little") for m in d.out_masks)
+    arcs = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, width), axis=1,
+                         count=n, bitorder="little").view(bool)
+    part = np.asarray(d.part_vector)
+    grid = np.zeros((n + pad, n + pad), dtype=np.int64)
+    grid[:n, :n] = np.where(arcs, 0, np.where(part[:, None] == part[None, :], 1, INF))
+    np.fill_diagonal(grid, INF)
+    return grid
+
+
 def completion_costs(d: PartitionedDigraph) -> List[List[int]]:
     """Square cost grid of the completion; INF marks forbidden pairs (the
     diagonal always)."""
-    part = np.asarray(d.part_vector)
-    grid = np.where(part[:, None] == part[None, :], 1, INF)
-    ends = np.fromiter(chain.from_iterable(d.arcs), dtype=np.int64, count=2 * len(d.arcs)) - 1
-    grid[ends[0::2], ends[1::2]] = 0
-    np.fill_diagonal(grid, INF)
-    return grid.tolist()
+    return _cost_grid(d).tolist()
 
 
 def max_arc_gcycle_factor(d: PartitionedDigraph) -> GFactor:
@@ -216,7 +237,7 @@ def max_arc_gcycle_factor(d: PartitionedDigraph) -> GFactor:
     d.require_smd()
     if d.n < 2:
         raise Degenerate("a cycle factor needs at least two vertices")
-    solved = lexmin_assignment(completion_costs(d))
+    solved = lexmin_assignment(_cost_grid(d))
     if solved is None:
         raise NoFactor("no spanning set of generalized cycles exists")
     _, succ = solved
@@ -231,8 +252,8 @@ def max_arc_gcycle_factor(d: PartitionedDigraph) -> GFactor:
 
 def c_f(d: PartitionedDigraph) -> int:
     """Maximum number of arcs in a generalized cycle factor."""
-    f = max_arc_gcycle_factor(d)
-    return f.arc_count(d)
+    # max_arc_gcycle_factor has validated every cycle, so count without a second check
+    return sum(arc_count(d, c.seq, True) for c in max_arc_gcycle_factor(d).cycles)
 
 
 def max_arc_path_cycle_subdigraph(d: PartitionedDigraph) -> Tuple[GWalk, GFactor]:
@@ -245,9 +266,7 @@ def max_arc_path_cycle_subdigraph(d: PartitionedDigraph) -> Tuple[GWalk, GFactor
     if d.n == 1:
         return GWalk("path", (1,)), GFactor(())
     n = d.n
-    grid = [row + [0] for row in completion_costs(d)]
-    grid.append([0] * n + [INF])
-    solved = lexmin_assignment(grid)
+    solved = lexmin_assignment(_cost_grid(d, pad=1))
     if solved is None:
         raise NoFactor("no spanning path-plus-cycles cover exists")
     _, succ = solved

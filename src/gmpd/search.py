@@ -10,17 +10,20 @@ last vertices), vectorized over each popcount layer, so no engine takes
 more than 31 vertices, whichever answers.  The longest-walk oracles and
 the n-k decision count jumps, not arcs: a walk with J = 0 jumps is a
 Hamiltonian path or cycle, which the search finds, and the
-Hamiltonian-cycle engine is that case; only when the search gives up after
-n·n states, or finds no J = 0 walk while more jumps are allowed, are jump
-levels built, level j holding the ends reached with at most j jumps.  The
-n-k decision runs the Hamiltonian engine only on terminal sets of J
-feasible jump tails, for the fewest jumps J, read off those levels and the
-levels of the reversed instance.
+Hamiltonian-cycle engine is that case, unless a partite set is too large
+for one; only when the search gives up after n·n states, or finds no J = 0
+walk while more jumps are allowed, are jump levels built, level j holding
+the ends reached with at most j jumps.  The n-k decision runs the
+Hamiltonian engine only on terminal sets of J feasible jump tails, for the
+fewest jumps J, read off those levels and the levels of the reversed
+instance.  The jump metrics run one layered BFS per strong component,
+whose vertices share every N(x, y), and keep one row per component.
 Thresholds are configuration: an explicit argument wins, then the
 GMPD_EXACT_THRESHOLD environment variable, then the per-engine default.
 """
 
 import os
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -172,17 +175,31 @@ def _jump_levels(n: int, arc_in, jump_in, starts):
         levels.append(level if grew else levels[-1])
 
 
+def _parts_forbid_zero_jumps(d: PartitionedDigraph, close: bool) -> bool:
+    """Whether a partite set is too large for a spanning sequence with no
+    jump: with no arc inside a partite set, consecutive vertices of such a
+    sequence lie in different sets, so a cycle holds at most n/2 vertices of
+    each set and a path at most ceil(n/2).  Augmented instances have arcs
+    inside a partite set, so this never holds for them."""
+    return (max(Counter(d.part_vector).values()) > (d.n // 2 if close else (d.n + 1) // 2)
+            and not any(out & mates for out, mates in zip(d.out_masks, _jump_in(d))))
+
+
 def _fewest_jumps(d: PartitionedDigraph, starts, close: bool, cap: int):
     """(J, seq, levels) for the fewest jumps J of a spanning legal sequence
     from one of `starts` (0-based) that, with `close`, then steps into
     starts[0], or None past `cap` jumps.  seq has J jumps; ties go to the
     smallest last vertex, then the smallest predecessor.  J = 0 is a
-    Hamiltonian path or cycle, so the backward search runs first; the jump
-    levels are built only when it gives up, or finds none and cap > 0, and
-    levels is None when it answered."""
+    Hamiltonian path or cycle, so the backward search runs first, unless a
+    partite set is too large for one; the jump levels are built only when it
+    gives up, or finds none and cap > 0, and levels is None when it
+    answered."""
     n, full, arc_in = d.n, (1 << d.n) - 1, d.in_masks
     lasts = arc_in[starts[0]] if close else full
-    decided, seq = _ham_search(d.out_masks, arc_in, sum(1 << v for v in starts), full, lasts, n * n)
+    decided, seq = True, None
+    if not _parts_forbid_zero_jumps(d, close):
+        decided, seq = _ham_search(d.out_masks, arc_in, sum(1 << v for v in starts), full, lasts,
+                                   n * n)
     if seq:
         return 0, seq, None
     if decided and not cap:
@@ -437,21 +454,23 @@ def spanning_gcycle_at_least(
 
 
 class JumpDistances(Mapping):
-    """Read-only {(x, y): N(x, y)} view over an n×n jump-count matrix.
+    """Read-only {(x, y): N(x, y)} view over one jump-count row per strong
+    component: every vertex of a component reaches the same vertices, with
+    the same jumps, so N(x, y) is rows[comp[x - 1], y - 1].
 
     -1 marks a pair with no generalized path.  Iteration is x-major and
     skips x == y and the unreachable pairs; the view compares equal to the
     dict with the same items.
     """
 
-    def __init__(self, dist: np.ndarray):
-        self._dist = dist
+    def __init__(self, rows: np.ndarray, comp: np.ndarray):
+        self._rows, self._comp = rows, comp
 
     def __getitem__(self, key) -> int:
         try:
             x, y = key
             if x != y and x >= 1 and y >= 1:
-                hops = int(self._dist[x - 1, y - 1])
+                hops = int(self._rows[self._comp[x - 1], y - 1])
                 if hops >= 0:
                     return hops
         except (TypeError, ValueError, IndexError):
@@ -459,12 +478,15 @@ class JumpDistances(Mapping):
         raise KeyError(key)
 
     def __iter__(self):
-        for x, y in zip(*np.nonzero(self._dist >= 0)):
-            if x != y:
-                yield int(x) + 1, int(y) + 1
+        reached = _columns(self._rows >= 0)
+        for x, k in enumerate(self._comp.tolist()):
+            for y in reached[k]:
+                if x != y:
+                    yield x + 1, y + 1
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._dist >= 0)) - len(self._dist)
+        per_row = np.count_nonzero(self._rows >= 0, axis=1)
+        return int(per_row[self._comp].sum()) - len(self._comp)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
@@ -486,56 +508,75 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _jump_matrix(d: PartitionedDigraph) -> np.ndarray:
-    """dist[x, y] = fewest jumps on a generalized (x, y)-path, -1 if none.
+def _columns(rows: np.ndarray):
+    """The set columns of each row of a boolean matrix, as lists."""
+    return [np.flatnonzero(row).tolist() for row in rows]
 
-    Arcs cost 0 and same-partite jumps cost 1.  From each source a layered
-    bitmask BFS takes the arc closure, then one jump into every partite set
-    already reached, then the arc closure again; layer k holds the vertices
-    first reached with k jumps.
+
+def _jump_rows(d: PartitionedDigraph):
+    """(rows, comp): rows[comp[x], y] = fewest jumps on a generalized
+    (x, y)-path, -1 if none, with one row per strong component.
+
+    Arcs cost 0 and same-partite jumps cost 1.  The vertices of a strong
+    component reach the same vertices along arcs, so one layered bitmask BFS
+    serves the whole component: it takes their arc closure, then one jump
+    into every partite set already reached, then the arc closure again;
+    layer k holds the vertices first reached with k jumps.  A component is
+    its lowest vertex's forward closure cut to the vertices that reach it
+    back; the closures of jumped-to vertices are computed once, when first
+    needed.
     """
-    n = d.n
-    closure = [_closure(d.out_masks, v) for v in range(n)]
+    n, out_masks = d.n, d.out_masks
+    closure = [None] * n
     parts = [0] * d.c
     for v, p in enumerate(d.part_vector):
         parts[p - 1] |= 1 << v
-    # every layer but the last reaches a new partite set, so no count exceeds
-    # c; the smallest signed type that holds c keeps the matrix compact
-    dist = np.full((n, n), -1, dtype=np.min_scalar_type(-d.c - 1))
-    for x in range(n):
+    rows, comp, left = [], [0] * n, (1 << n) - 1
+    while left:
+        x = _lowest_bit_index(left)
+        seen = layer = closure[x] or _closure(out_masks, x)
+        members = _closure(d.in_masks, x, seen)
+        left &= ~members
+        for v in _bits(members):
+            closure[v], comp[v] = seen, len(rows)
         row = [-1] * n
-        seen = layer = closure[x]
         hops = 0
         while layer:
             for v in _bits(layer):
                 row[v] = hops
             jumped = 0
-            for members in parts:
-                if members & seen:
-                    jumped |= members
+            for block in parts:
+                if block & seen:
+                    jumped |= block
             layer = 0
             for v in _bits(jumped & ~seen):
+                if closure[v] is None:
+                    closure[v] = _closure(out_masks, v)
                 layer |= closure[v]
             layer &= ~seen
             seen |= layer
             hops += 1
-        dist[x] = row
-    return dist
+        rows.append(row)
+    # every layer but the last reaches a new partite set, so no count exceeds
+    # c; the smallest types that hold c and the row indices keep both compact
+    return (np.array(rows, dtype=np.min_scalar_type(-d.c - 1)),
+            np.array(comp, dtype=np.min_scalar_type(len(rows) - 1)))
 
 
 def jump_metrics(d: PartitionedDigraph) -> JumpMetrics:
     """N(x,y) per ordered pair, the maximum N, and the min{n-N, c_f} bound."""
     d.require_smd()
-    dist = _jump_matrix(d)
-    unreachable = tuple((int(x) + 1, int(y) + 1) for x, y in zip(*np.nonzero(dist < 0)))
-    big_n = int(dist.max())
+    rows, comp = _jump_rows(d)
+    missed = _columns(rows < 0)
+    unreachable = tuple((x + 1, y + 1) for x, k in enumerate(comp.tolist()) for y in missed[k])
+    big_n = int(rows.max())
     try:
         cf = factor_mod.c_f(d)
     except (NoFactor, Degenerate):
         cf = None
     bound = min(d.n - big_n, cf) if cf is not None else None
     return JumpMetrics(
-        n_xy=JumpDistances(dist),
+        n_xy=JumpDistances(rows, comp),
         unreachable=unreachable,
         N=big_n,
         c_f=cf,

@@ -2,12 +2,13 @@
 hypothesis settings profile.
 
 The brute-force routines here enumerate permutations and subsets directly,
-and the re-solve lex-min, the 0-1 BFS, the unpruned terminal-set enumeration
-the per-pair completion grid, the fully built splice candidates, the int32
-max-arc subset table, the mask-by-mask reachability table and the pairwise
-instance and 0/1-TSP checks are the plain algorithms the packaged engines
-replaced; they exist to validate the packaged engines and must stay
-independent of them."""
+and the re-solve lex-min, the 0-1 BFS, the per-source jump matrix, the
+unpruned terminal-set enumeration, the per-pair completion grid and its
+row-by-row dummy padding, the row-scan greedy assignment start, the fully
+built splice candidates, the int32 max-arc subset table, the mask-by-mask
+reachability table and the pairwise instance and 0/1-TSP checks are the
+plain algorithms the packaged engines replaced; they exist to validate the
+packaged engines and must stay independent of them."""
 
 from collections import deque
 from itertools import combinations, permutations
@@ -175,6 +176,60 @@ def reference_completion_costs(d):
                 row.append(10 ** 9)
         grid.append(row)
     return grid
+
+
+def reference_path_grid(grid):
+    """A cost grid padded row by row with a dummy vertex joined both ways to
+    every vertex at cost 0 (10**9 on its diagonal)."""
+    n = len(grid)
+    return [row + [0] for row in grid] + [[0] * n + [10 ** 9]]
+
+
+def reference_greedy_start(cost):
+    """For each row in order, the first cost-0 column that no earlier row
+    took, or -1, found with one numpy scan per row."""
+    c = np.asarray(cost)
+    owner = np.full(len(c), -1)
+    succ = [-1] * len(c)
+    for i in range(len(c)):
+        free = np.flatnonzero((c[i] == 0) & (owner < 0))
+        if free.size:
+            succ[i] = int(free[0])
+            owner[free[0]] = i
+    return succ
+
+
+def reference_jump_matrix(d):
+    """dist[x][y] = fewest jumps on a generalized (x, y)-path (0-based), -1
+    if none: from every source a layered BFS that takes the arc closure, one
+    jump into every partite set already reached, then the arc closure
+    again."""
+    n, part = d.n, d.part_vector
+
+    def closure(sources):
+        seen, todo = set(sources), list(sources)
+        while todo:
+            for w in d.out(todo.pop() + 1):
+                if w - 1 not in seen:
+                    seen.add(w - 1)
+                    todo.append(w - 1)
+        return seen
+
+    dist = []
+    for x in range(n):
+        row = [-1] * n
+        seen = layer = closure([x])
+        hops = 0
+        while layer:
+            for v in layer:
+                row[v] = hops
+            reached = {part[v] for v in seen}
+            jumped = [v for v in range(n) if part[v] in reached and v not in seen]
+            layer = closure(jumped) - seen
+            seen = seen | layer
+            hops += 1
+        dist.append(row)
+    return dist
 
 
 def _splice_two(a, b):

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,15 +26,11 @@ from conftest import (
     brute_min_assignment,
     random_smd_digraph,
     reference_completion_costs,
+    reference_greedy_start,
     reference_lexmin_assignment,
+    reference_path_grid,
     scipy_min_assignment,
 )
-
-
-def path_grid(grid):
-    """The completion plus a dummy vertex joined both ways at cost 0."""
-    n = len(grid)
-    return [row + [0] for row in grid] + [[0] * n + [INF]]
 
 
 smd = st.builds(
@@ -157,10 +156,55 @@ def test_completion_costs_match_the_pair_loop(d):
     assert all(type(x) is int for row in got for x in row)
 
 
+@settings(max_examples=40)
+@given(st.builds(random_smd_digraph, st.integers(1, 40), st.integers(1, 5),
+                 st.sampled_from([0.0, 0.3, 0.7]), st.integers(0, 10 ** 6)))
+@example(PartitionedDigraph([1], []))
+@example(PartitionedDigraph([1, 2, 1], [(1, 2)]))   # (2, 1), (2, 3) and (3, 2) are forbidden
+@example(PartitionedDigraph([1, 1, 2], [(1, 2), (2, 1)]))   # (3, 1), (2, 3) and (3, 2)
+def test_cost_grid_matches_the_list_grids(d):
+    """The mask-built grid, plain and padded with the dummy vertex, equals the
+    pair-by-pair grid and its row-by-row padding."""
+    grid = reference_completion_costs(d)
+    for pad, want in ((0, grid), (1, reference_path_grid(grid))):
+        got = factor._cost_grid(d, pad)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def random_grid(n, seed):
+    """A square grid of costs 0, 1 and forbidden, forbidden on the diagonal."""
+    rng = random.Random(seed)
+    grid = [[rng.choice([0, 0, 1, 1, INF]) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        grid[i][i] = INF
+    return grid
+
+
+@settings(max_examples=60)
+@given(st.one_of(
+    st.builds(random_grid, st.integers(1, 30), st.integers(0, 10 ** 6)),
+    st.builds(lambda d, pad: factor._cost_grid(d, pad), smd, st.integers(0, 1)),
+))
+def test_bitmask_greedy_start_matches_the_row_scan(grid):
+    """The bitmask greedy start picks the row scan's columns, so the whole
+    solve (total, succ and both duals) is the one the row scan starts."""
+    c = np.asarray(grid, dtype=np.int64)
+    assert factor._greedy_start(c) == reference_greedy_start(c)
+    got = solve_assignment(grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor, "_greedy_start", reference_greedy_start)
+        want = solve_assignment(grid)
+    if want is None:
+        assert got is None
+    else:
+        assert (got.total, got.succ) == (want.total, want.succ)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
 @given(smd)
 def test_lexmin_matches_resolve_reference(d):
     grid = completion_costs(d)
-    for g in (grid, path_grid(grid)):
+    for g in (grid, reference_path_grid(grid)):
         assert lexmin_assignment(g) == reference_lexmin_assignment(g)
 
 
@@ -176,7 +220,21 @@ def test_factor_totals_match_scipy(n, c, seed):
     else:
         assert max_arc_gcycle_factor(d).arc_count(d) == n - cycle_cost
     p, rem = max_arc_path_cycle_subdigraph(d)
-    assert walk_length(d, p) + rem.arc_count(d) == n - 1 - scipy_min_assignment(path_grid(grid))
+    assert walk_length(d, p) + rem.arc_count(d) == n - 1 - scipy_min_assignment(reference_path_grid(grid))
+
+
+def test_c_f_validates_each_factor_cycle_once(monkeypatch):
+    """max_arc_gcycle_factor validates each cycle; c_f then only counts
+    arcs, so jump_metrics validates each factor cycle exactly once."""
+    from gmpd import search, walks
+
+    d = fig2().digraph
+    cycles = max_arc_gcycle_factor(d).cycles
+    seen = []
+    monkeypatch.setattr(walks, "validate_walk", lambda d, w, _fn=walks.validate_walk:
+                        seen.append(w) or _fn(d, w))
+    assert search.jump_metrics(d).c_f == 16 and len(cycles) > 1
+    assert seen == list(cycles)
 
 
 def test_corrupt_duals_raise_certificate_error(monkeypatch, tmp_path):

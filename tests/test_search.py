@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -24,6 +25,7 @@ from conftest import (
     brute_longest_spanning_gcycle,
     random_smd_digraph,
     reference_jump_distances,
+    reference_jump_matrix,
     reference_max_arc_walk,
     reference_spanning_gcycle_at_least,
     reference_xy_spanning_gpath,
@@ -564,6 +566,106 @@ def test_jump_metrics_match_zero_one_bfs(a, b):
     assert b is None or len(unreachable) >= a.n * b.n
     assert jm.N == max(want.values(), default=0)
     assert jm.bound == (None if jm.c_f is None else min(d.n - jm.N, jm.c_f))
+
+
+def acyclic_smd(n, c, seed):
+    """An SMD whose arcs all run forward in a shuffled vertex order, so every
+    vertex is its own strong component; with c = n it is a transitive
+    tournament."""
+    rng = random.Random(seed)
+    part = [i % c + 1 for i in range(n)]
+    rng.shuffle(part)
+    order = rng.sample(range(1, n + 1), n)
+    arcs = [(u, v) for i, u in enumerate(order) for v in order[i + 1:] if part[u - 1] != part[v - 1]]
+    return PartitionedDigraph(part, arcs)
+
+
+acyclic = st.one_of(
+    st.builds(lambda n, seed: acyclic_smd(n, n, seed), st.integers(1, 30), st.integers(0, 10 ** 6)),
+    st.builds(acyclic_smd, st.integers(2, 30), st.integers(2, 5), st.integers(0, 10 ** 6)),
+)
+
+
+@settings(max_examples=60)
+@given(st.one_of(acyclic, smd, st.builds(dominating_union, smd, smd)))
+def test_jump_metrics_match_the_per_source_matrix(d):
+    """One BFS per strong component gives the per-source matrix's items, in
+    its order, its length, unreachable pairs and N, with one row per strong
+    component."""
+    dist = reference_jump_matrix(d)
+    pairs = [(x, y) for x in range(d.n) for y in range(d.n) if x != y]
+    want = {(x + 1, y + 1): dist[x][y] for x, y in pairs if dist[x][y] >= 0}
+    jm = jump_metrics(d)
+    assert list(jm.n_xy.items()) == list(want.items()) and len(jm.n_xy) == len(want)
+    assert jm.unreachable == tuple((x + 1, y + 1) for x, y in pairs if dist[x][y] < 0)
+    assert jm.N == max(map(max, dist))
+    for key in ((1, 1), (0, 1), (1, d.n + 1), (d.n + 1, 1), *jm.unreachable):
+        assert key not in jm.n_xy
+    # vertices with the same reach lie in one strong component
+    assert len(jm.n_xy._rows) == len({tuple(row) for row in dist})
+
+
+def test_strong_instance_keeps_one_jump_row(monkeypatch):
+    """On a strong instance every N(x, y) is 0: one row, from one forward and
+    one backward closure."""
+    d = random_smd_digraph(60, 4, 0.3, 1)
+    assert is_strong(d)
+    closures = []
+    monkeypatch.setattr(search, "_closure", lambda *args, _fn=search._closure:
+                        closures.append(args[1]) or _fn(*args))
+    rows, comp = search._jump_rows(d)
+    assert rows.shape == (1, d.n) and not rows.any() and not comp.any()
+    assert len(closures) == 2
+    monkeypatch.undo()
+    jm = jump_metrics(d)
+    assert jm.n_xy._rows.shape == (1, d.n) and len(jm.n_xy) == d.n * (d.n - 1)
+
+
+def lopsided_bipartite(small, large, seed):
+    """A semicomplete bipartite draw with partite sets of `small` and `large`
+    vertices, every cross pair joined one or both ways."""
+    rng = random.Random(seed)
+    part = [1] * small + [2] * large
+    arcs = []
+    for u in range(1, small + 1):
+        for v in range(small + 1, small + large + 1):
+            r = rng.random()
+            arcs += [(u, v), (v, u)] if r < 0.3 else [(u, v)] if r < 0.65 else [(v, u)]
+    return PartitionedDigraph(part, arcs)
+
+
+def test_oversized_partite_set_skips_the_zero_jump_search(monkeypatch):
+    """With partite sets of 8 and 10 vertices no spanning cycle (at most 9
+    of one set) or path (at most 9) has zero jumps, so neither oracle runs
+    the backward search, and both answer as when it runs.  An augmented
+    instance has arcs inside a partite set and still searches."""
+    d = lopsided_bipartite(8, 10, 12)
+    calls = []
+    real = search._ham_search
+    monkeypatch.setattr(search, "_ham_search", lambda *args: calls.append(args[2]) or real(*args))
+    got = (oracle_longest_spanning_gcycle(d, threshold=18), oracle_longest_gpath(d))
+    assert calls == [] and got[0][0] == got[1][0] == 16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_parts_forbid_zero_jumps", lambda *args: False)
+        assert (oracle_longest_spanning_gcycle(d, threshold=18), oracle_longest_gpath(d)) == got
+    assert len(calls) == 2
+    calls.clear()
+    exact_ham_cycle(augment_terminals(d, [9]))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("small, large, searched", [(8, 9, ["path"]), (9, 9, ["cycle", "path"])])
+def test_zero_jump_search_runs_at_the_size_limits(monkeypatch, small, large, searched):
+    """A partite set of ceil(n/2) vertices leaves room for a spanning path
+    with no jump, and one of n/2 vertices for a spanning cycle, so each
+    oracle still searches there."""
+    d = lopsided_bipartite(small, large, 12)
+    calls = []
+    real = search._ham_search
+    monkeypatch.setattr(search, "_ham_search", lambda *args: calls.append(args[2]) or real(*args))
+    oracle_longest_spanning_gcycle(d, threshold=d.n)
+    oracle_longest_gpath(d)
+    assert ["cycle" if starts == 1 else "path" for starts in calls] == searched
 
 
 @settings(max_examples=80)
