@@ -1,8 +1,9 @@
 """Command-line frontend.
 
-Every subcommand prints a machine-readable block of "key value" lines (or a
-JSON object with --json) and exits 0 for success/yes, 1 for a decision "no",
-2 for errors."""
+Each subcommand returns (exit code, fields); `main` prints the fields as "key
+value" lines, or as one JSON object with --json. Exit code 0 is success/yes,
+1 a decision "no" (a walk answer then prints only `status no`), 2 an error.
+`gen` and `npc build1/2` print an instance file instead of fields."""
 
 import argparse
 import json
@@ -39,200 +40,115 @@ def _load_zotsp(path: str) -> tsp.ZOTSPInstance:
     return tsp.ZOTSPInstance(n=d.n, arcs=d.arcs, ones=frozenset(ones))
 
 
-class _Result:
-    def __init__(self):
-        self.fields = {}
-        self.code = EXIT_OK
-
-    def set(self, key, value):
-        self.fields[key] = value
-        return self
+def _walk_answer(d, walk, **fields):
+    """The answer of a command whose result is a walk: a "no" without one, or
+    "status ok", the given fields and the rendered walk as `witness`."""
+    if walk is None:
+        return EXIT_NO, {"status": "no"}
+    return EXIT_OK, {"status": "ok", **fields, "witness": render_walk(d, walk)}
 
 
-def _emit(res: _Result, as_json: bool):
-    if as_json:
-        print(json.dumps(res.fields, sort_keys=True))
-    else:
-        for key, value in res.fields.items():
-            print(f"{key} {value}")
-    return res.code
-
-
-def _cmd_validate(args) -> _Result:
+def _cmd_validate(args):
     inst = _load(args.instance)
     report = validate(inst.digraph)
-    res = _Result()
-    res.set("status", "ok")
-    res.set("n", inst.digraph.n)
-    res.set("c", inst.digraph.c)
-    res.set("is_smd", str(report.is_smd).lower())
-    res.set("is_extended", str(report.is_extended).lower())
-    res.set("is_strong", str(report.is_strong).lower())
-    if report.internal_arc:
-        res.set("internal_arc", "%d %d" % report.internal_arc)
-    if report.missing_pair:
-        res.set("missing_pair", "%d %d" % report.missing_pair)
-    if report.extended_witness:
-        res.set("extended_witness", "%d %d" % report.extended_witness)
-    if not report.is_smd:
-        res.code = EXIT_NO
-    return res
+    fields = {
+        "status": "ok",
+        "n": inst.digraph.n,
+        "c": inst.digraph.c,
+        "is_smd": str(report.is_smd).lower(),
+        "is_extended": str(report.is_extended).lower(),
+        "is_strong": str(report.is_strong).lower(),
+    }
+    for key in ("internal_arc", "missing_pair", "extended_witness"):
+        if getattr(report, key):
+            fields[key] = "%d %d" % getattr(report, key)
+    return (EXIT_OK if report.is_smd else EXIT_NO), fields
 
 
-def _cmd_factor(args) -> _Result:
-    inst = _load(args.instance)
-    d = inst.digraph
+def _cmd_factor(args):
+    d = _load(args.instance).digraph
     f = factor.max_arc_gcycle_factor(d)
-    res = _Result()
-    res.set("status", "ok")
-    res.set("arc_count", f.arc_count(d))
-    res.set("cycles", len(f.cycles))
+    fields = {"status": "ok", "arc_count": f.arc_count(d), "cycles": len(f.cycles)}
     for i, c in enumerate(f.cycles, 1):
-        res.set(f"cycle{i}", render_walk(d, c))
-    return res
+        fields[f"cycle{i}"] = render_walk(d, c)
+    return EXIT_OK, fields
 
 
-def _cmd_longest_gpath(args) -> _Result:
-    inst = _load(args.instance)
-    d = inst.digraph
+def _cmd_longest_gpath(args):
+    d = _load(args.instance).digraph
     walk = construct.longest_gpath(d)
-    res = _Result()
-    res.set("status", "ok")
-    res.set("length", walk_length(d, walk))
-    res.set("witness", render_walk(d, walk))
-    return res
+    return _walk_answer(d, walk, length=walk_length(d, walk))
 
 
-def _cmd_spanning_gcycle(args) -> _Result:
-    inst = _load(args.instance)
-    d = inst.digraph
-    res = _Result()
-    if args.ext:
-        cyc = extended.spanning_gcycle_extsd(d)
-        if cyc is None:
-            res.set("status", "no")
-            res.code = EXIT_NO
-            return res
-        res.set("status", "ok")
-        res.set("length", walk_length(d, cyc))
-        res.set("witness", render_walk(d, cyc))
-        return res
-    if args.atleast is not None:
-        cyc = search.spanning_gcycle_at_least(d, args.atleast)
-        if cyc is None:
-            res.set("status", "no")
-            res.code = EXIT_NO
-            return res
-        res.set("status", "ok")
-        res.set("length", walk_length(d, cyc))
-        res.set("witness", render_walk(d, cyc))
-        return res
+def _cmd_spanning_gcycle(args):
+    d = _load(args.instance).digraph
+    if args.ext or args.atleast is not None:
+        cyc = (extended.spanning_gcycle_extsd(d) if args.ext
+               else search.spanning_gcycle_at_least(d, args.atleast))
+        return _walk_answer(d, cyc, length=None if cyc is None else walk_length(d, cyc))
     cyc, cert = irreducible.spanning_gcycle_strong(d)
-    res.set("status", "ok")
-    res.set("length", cert["length"])
-    res.set("c_f", cert["c_f"])
-    res.set("c_prime", cert["c_prime"])
-    res.set("lower_bound", cert["lower_bound"])
-    res.set("witness", render_walk(d, cyc))
-    return res
+    return _walk_answer(d, cyc, length=cert["length"], c_f=cert["c_f"],
+                        c_prime=cert["c_prime"], lower_bound=cert["lower_bound"])
 
 
-def _cmd_xy_gpath(args) -> _Result:
-    inst = _load(args.instance)
-    d = inst.digraph
-    walk = search.exact_xy_spanning_gpath(d, args.x, args.y)
-    res = _Result()
-    if walk is None:
-        res.set("status", "no")
-        res.code = EXIT_NO
-        return res
-    res.set("status", "ok")
-    res.set("witness", render_walk(d, walk))
-    return res
+def _cmd_xy_gpath(args):
+    d = _load(args.instance).digraph
+    return _walk_answer(d, search.exact_xy_spanning_gpath(d, args.x, args.y))
 
 
-def _cmd_bound(args) -> _Result:
-    inst = _load(args.instance)
-    metrics = search.jump_metrics(inst.digraph)
-    res = _Result()
-    res.set("status", "ok")
-    res.set("N", metrics.N)
-    res.set("c_f", metrics.c_f if metrics.c_f is not None else "none")
-    res.set("bound", metrics.bound if metrics.bound is not None else "none")
+def _cmd_bound(args):
+    metrics = search.jump_metrics(_load(args.instance).digraph)
+    fields = {
+        "status": "ok",
+        "N": metrics.N,
+        "c_f": metrics.c_f if metrics.c_f is not None else "none",
+        "bound": metrics.bound if metrics.bound is not None else "none",
+    }
     if metrics.unreachable:
-        res.set("unreachable_pairs", len(metrics.unreachable))
-    return res
+        fields["unreachable_pairs"] = len(metrics.unreachable)
+    return EXIT_OK, fields
 
 
-def _cmd_tsp(args) -> _Result:
+def _cmd_tsp(args):
     inst = _load_zotsp(args.instance)
-    res = _Result()
     if args.what == "path":
         seq, cost = tsp.min_cost_ham_path(inst)
-        res.set("status", "ok")
-        res.set("cost", cost)
-        res.set("witness", "->".join(str(v) for v in seq))
-        return res
-    mode = args.mode
-    out = tsp.tour_cost(inst, mode, k=args.k)
-    status = out.get("status", "ok")
-    res.set("status", status)
+        return EXIT_OK, {"status": "ok", "cost": cost, "witness": "->".join(map(str, seq))}
+    out = tsp.tour_cost(inst, args.mode, k=args.k)
+    fields = {"status": out.get("status", "ok")}
     for key in ("cost", "k", "low", "high", "achieved"):
         if key in out:
-            res.set(key, out[key])
+            fields[key] = out[key]
     if "tour" in out:
-        res.set("witness", "->".join(str(v) for v in out["tour"]))
-    if status == "no":
-        res.code = EXIT_NO
-    return res
+        fields["witness"] = "->".join(map(str, out["tour"]))
+    return (EXIT_NO if fields["status"] == "no" else EXIT_OK), fields
 
 
-def _cmd_npc(args) -> _Result:
-    res = _Result()
+def _cmd_npc(args):
     if args.what in ("build1", "build2"):
         cnf = parse_dimacs(_read_text(args.cnf))
         build = npc.build_np1 if args.what == "build1" else npc.build_np2
         d, legend = build(cnf)
         sys.stdout.write(emit_instance(InstanceFile(digraph=d, legend=legend)))
-        return res  # the instance text is the whole output
-    inst = _load(args.instance)
+        return EXIT_OK, {}  # the instance text is the whole output
+    d = _load(args.instance).digraph
     searcher = npc.witness_np1 if args.what == "witness1" else npc.witness_np2
-    walk = searcher(inst.digraph)
-    if walk is None:
-        res.set("status", "no")
-        res.code = EXIT_NO
-        return res
-    res.set("status", "ok")
-    res.set("witness", render_walk(inst.digraph, walk))
-    return res
+    return _walk_answer(d, searcher(d))
 
 
-def _cmd_oracle(args) -> _Result:
-    inst = _load(args.instance)
-    d = inst.digraph
-    res = _Result()
-    if args.what == "gcycle":
-        out = search.oracle_longest_spanning_gcycle(d)
-        if out is None:
-            res.set("status", "no")
-            res.code = EXIT_NO
-            return res
-        arcs, walk = out
-    else:
-        arcs, walk = search.oracle_longest_gpath(d)
-    res.set("status", "ok")
-    res.set("length", arcs)
-    res.set("witness", render_walk(d, walk))
-    return res
+def _cmd_oracle(args):
+    d = _load(args.instance).digraph
+    oracle = (search.oracle_longest_spanning_gcycle if args.what == "gcycle"
+              else search.oracle_longest_gpath)
+    arcs, walk = oracle(d) or (None, None)   # the cycle oracle answers None for "no"
+    return _walk_answer(d, walk, length=arcs)
 
 
-def _cmd_gen(args) -> _Result:
-    cnf = None
-    if args.cnf:
-        cnf = parse_dimacs(_read_text(args.cnf))
+def _cmd_gen(args):
+    cnf = parse_dimacs(_read_text(args.cnf)) if args.cnf else None
     inst = generate(args.name, args.params, seed=args.seed, cnf=cnf)
     sys.stdout.write(emit_instance(inst))
-    return _Result()
+    return EXIT_OK, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,13 +235,16 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        res = args.func(args)
+        code, fields = args.func(args)
     except Exception as exc:  # any failure is an error, never a decision "no"
         sys.stderr.write(f"error {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
-    if res.fields:
-        return _emit(res, args.json)
-    return res.code
+    if args.json and fields:
+        print(json.dumps(fields, sort_keys=True))
+    else:
+        for key, value in fields.items():
+            print(f"{key} {value}")
+    return code
 
 
 if __name__ == "__main__":

@@ -91,7 +91,8 @@ def spanning_gcycle_extsd(d: PartitionedDigraph) -> Optional[GWalk]:
 def _spanning_gcycle_extsd(d: PartitionedDigraph, factor: GFactor) -> GWalk:
     """spanning_gcycle_extsd for a strong instance with n >= 2, already
     validated as extended, from its maximum-arc factor."""
-    cf = factor.arc_count(d)
+    # max_arc_gcycle_factor has validated every cycle, so count without a second check
+    cf = sum(arc_count(d, c.seq, True) for c in factor.cycles)
     cycles = list(factor.cycles)
     while len(cycles) > 1:
         pair = next(((i, j) for i, j in combinations(range(len(cycles)), 2)

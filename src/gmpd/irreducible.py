@@ -277,8 +277,13 @@ def spanning_gcycle_strong(
 
         cyc = _spanning_gcycle_extsd(d, factor)
         return cyc, {**cert, "length": walk_length(d, cyc), "route": "extended"}
-    irr = _make_irreducible(d, factor)
-    cycles = list(irr.cycles)
+    # At least `lower` arcs remain: a group merge takes the head H and every
+    # cycle up to the last one meeting a partite set of H, and none later
+    # meets one, so the set shared with that last cycle ends up in one cycle
+    # for good (refolds only join cycles). So there are at most c' groups,
+    # each losing at most per_group_loss, and `_make_irreducible` loses none;
+    # the final check still raises should this argument fail.
+    cycles = list(_make_irreducible(d, factor).cycles)
     while len(cycles) > 1:
         head_parts = {d.part(v) for v in cycles[0].seq}
         j = None
@@ -299,14 +304,6 @@ def spanning_gcycle_strong(
         cycles = list(_make_irreducible(d, GFactor((merged, *rest))).cycles) if rest else [merged]
     result = canonical_cycle(cycles[0])
     length = walk_length(d, result)
-    if length < lower:
-        # reached only with three or more irreducible cycles (with two, the
-        # one group merge keeps c_f - per_group_loss >= lower arcs), so
-        # `_merge_legal` answers it by the exact search on their union
-        found = _merge_legal(d, irr.cycles, lower)
-        if found is None:
-            raise CertificateError(f"no spanning cycle reaches the bound {lower}")
-        result, length = found
     if len(result.seq) != d.n or length < lower:
         raise CertificateError(f"result spans {len(result.seq)} of {d.n} vertices with"
                                f" {length} arcs, bound {lower}")

@@ -3,7 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gmpd import digraph, factor, merging
+from gmpd import digraph, extended, factor, merging, walks
 from gmpd.digraph import PartitionedDigraph, is_strong, validate
 from gmpd.errors import IllegalPair, NoSharedPartite, NotExtended, OneDirectional
 from gmpd.extended import merge_bidirectional, merge_same_partite, spanning_gcycle_extsd
@@ -261,3 +261,24 @@ def test_extended_entries_validate_once(monkeypatch):
         solves.clear()
         entry(PartitionedDigraph(d.part_vector, d.arcs))
         assert (len(reports), len(solves)) == (1, 1)
+
+
+def test_extended_route_validates_each_factor_cycle_once(monkeypatch):
+    """max_arc_gcycle_factor validates its cycles; the extended route counts
+    their arcs without checking them again."""
+    factors, checked = [], []
+
+    def spy_factor(d, _fn=extended.max_arc_gcycle_factor):
+        factors.append(_fn(d))
+        return factors[-1]
+
+    def spy_walk(d, w, _fn=walks.validate_walk):
+        checked.append(w)
+        return _fn(d, w)
+
+    monkeypatch.setattr(extended, "max_arc_gcycle_factor", spy_factor)
+    monkeypatch.setattr(walks, "validate_walk", spy_walk)
+    d = generate("extended", ["8", "4"], seed=3).digraph
+    w = spanning_gcycle_extsd(d)
+    assert is_spanning(d, w) and len(factors[0].cycles) > 1
+    assert [sum(x is c for x in checked) for c in factors[0].cycles] == [1] * len(factors[0].cycles)

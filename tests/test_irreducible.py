@@ -4,8 +4,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmpd import digraph, irreducible, merging, walks
+from gmpd.cli import main
 from gmpd.digraph import PartitionedDigraph, augment_terminals, is_strong
 from gmpd.errors import (
     AugmentedInput,
@@ -434,3 +436,68 @@ def test_failed_two_cycle_group_is_searched_once(monkeypatch):
         spanning_gcycle_strong(d)
     # the irreducible ordering's no-loss search, then the group's at c_f - 2
     assert searched == [(frozenset(range(1, 7)), 6), (frozenset(range(1, 7)), 4)]
+
+
+# three 2-cycles 1<->2, 3<->4 and 5<->6, each one-way dominating the next
+# around a dominance cycle: 1->4 and 2->3, 3->6 and 4->5, 5->2 and 6->1
+TRIANGLE = PartitionedDigraph([1, 2, 1, 2, 1, 2], [(1, 2), (2, 1), (3, 4), (4, 3), (5, 6), (6, 5),
+                                                   (1, 4), (2, 3), (3, 6), (4, 5), (5, 2), (6, 1)])
+
+
+def test_dominance_triangle_collapses_in_one_merge(monkeypatch, capsys, tmp_path):
+    """No pair of the three factor cycles merges (each union is not strong),
+    so the irreducible ordering merges all three in one call."""
+    d = TRIANGLE
+    a, b, c = max_arc_gcycle_factor(d).cycles
+    assert (a.seq, b.seq, c.seq) == ((1, 2), (3, 4), (5, 6))
+    assert [relation(d, *pair) for pair in ((a, b), (b, c), (c, a))] == [LEFT_OVER] * 3
+    merges = []
+
+    def spy(d, cycles, floor, _fn=irreducible._merge_legal):
+        merges.append(len(cycles))
+        return _fn(d, cycles, floor)
+
+    monkeypatch.setattr(irreducible, "_merge_legal", spy)
+    p = tmp_path / "triangle.gmpd"
+    p.write_text("gmpd 1\n6 2\n1 2 1 2 1 2\n12\n"
+                 + "".join(f"{u} {v}\n" for u, v in sorted(d.arcs)))
+    assert main(["spanning-gcycle", str(p)]) == 0
+    assert capsys.readouterr().out == ("status ok\nlength 6\nc_f 6\nc_prime 2\nlower_bound 2\n"
+                                       "witness 1->4->3->6->5->2->(1)\n")
+    assert merges == [2, 2, 2, 3]
+
+
+@st.composite
+def planted_factors(draw):
+    """(SMD, legal factor) with 3-5 blocks, each a real 2- or 3-cycle. The
+    blocks form a random tournament: every cross pair between two blocks
+    points the block pair's way, except a few reversed pairs and 2-cycles."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    c = draw(st.sampled_from([2, 3]))
+    sizes = [draw(st.sampled_from([2, 3] if c == 3 else [2])) for _ in range(draw(st.integers(3, 5)))]
+    part, blocks = [], []
+    for size in sizes:
+        blocks.append(tuple(range(len(part) + 1, len(part) + size + 1)))
+        part += rng.sample(range(1, c + 1), size)
+    used = sorted(set(part))
+    part = [used.index(p) + 1 for p in part]
+    block = {v: i for i, blk in enumerate(blocks) for v in blk}
+    over = {(i, j): rng.random() < 0.5 for i in range(len(blocks)) for j in range(i + 1, len(blocks))}
+    arcs = {(blk[i - 1], blk[i]) for blk in blocks for i in range(len(blk))}
+    for u in range(1, len(part) + 1):
+        for v in range(u + 1, len(part) + 1):
+            if part[u - 1] == part[v - 1] or (u, v) in arcs or (v, u) in arcs:
+                continue
+            ahead = (u, v) if block[u] == block[v] or over[block[u], block[v]] else (v, u)
+            r = rng.random()
+            arcs |= {ahead[::-1]} if r < 0.05 else {ahead, ahead[::-1]} if r < 0.1 else {ahead}
+    return PartitionedDigraph(part, arcs), GFactor(tuple(GWalk("cycle", blk) for blk in blocks))
+
+
+@settings(max_examples=200)
+@given(planted_factors())
+def test_make_irreducible_on_planted_factors(planted):
+    d, f = planted
+    irr = make_irreducible(d, f)
+    assert verify_chain_certificate(d, irr.cycles)
+    assert irr.arc_count >= f.arc_count(d)
